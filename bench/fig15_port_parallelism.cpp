@@ -23,13 +23,13 @@
 //            CI runs this mode and still enforces the scaling gate.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "bench/common/experiment.h"
 #include "bench/common/table.h"
+#include "common/cli_args.h"
 #include "control/resource_model.h"
 #include "control/sharded_analysis.h"
 #include "traffic/distributions.h"
@@ -181,29 +181,14 @@ void write_json(const char* path, const std::vector<Row>& rows,
   std::fclose(f);
 }
 
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-const char* arg_str(int argc, char** argv, const char* name,
-                    const char* dflt) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return dflt;
-}
-
 }  // namespace
 }  // namespace pq::bench
 
 int main(int argc, char** argv) {
   using namespace pq::bench;
-  const bool quick = has_flag(argc, argv, "--quick");
+  const bool quick = pq::arg_flag(argc, argv, "--quick");
   const char* out_path =
-      arg_str(argc, argv, "--out", "BENCH_port_parallelism.json");
+      pq::arg_str(argc, argv, "--out", "BENCH_port_parallelism.json");
   // Full mode covers several set periods of the largest config (alpha=1,
   // k=12, m0=10 has t_set ~ 63 ms); quick mode trades accuracy-sample
   // depth for CI wall clock but keeps the identical sweep shape.

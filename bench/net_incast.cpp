@@ -24,51 +24,15 @@
 //                   [--out BENCH_net_incast.json]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/cli_args.h"
 #include "net/network_analysis.h"
 #include "net/network_engine.h"
 #include "net/topology.h"
 #include "traffic/net_scenarios.h"
 
-namespace {
-
-using namespace pq;
-
-double arg_double(int argc, char** argv, const char* name, double dflt) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return dflt;
-}
-
-const char* arg_str(int argc, char** argv, const char* name,
-                    const char* dflt) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return dflt;
-}
-
-std::uint64_t peak_rss_kb() {
-  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-      std::uint64_t kb = 0;
-      if (std::sscanf(line, "VmHWM: %lu kB", &kb) == 1) {
-        std::fclose(f);
-        return kb;
-      }
-    }
-    std::fclose(f);
-  }
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace pq;
   const char* out_path =
       arg_str(argc, argv, "--out", "BENCH_net_incast.json");
 

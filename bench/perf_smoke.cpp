@@ -37,16 +37,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli_args.h"
 #include "common/simd/dispatch.h"
 #include "control/metrics_export.h"
 #include "control/sharded_analysis.h"
+#include "serve/supervisor.h"
 #include "store/archive.h"
 #include "store/archive_reader.h"
 #include "traffic/distributions.h"
@@ -56,21 +57,6 @@
 namespace {
 
 using namespace pq;
-
-double arg_double(int argc, char** argv, const char* name, double dflt) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return dflt;
-}
-
-const char* arg_str(int argc, char** argv, const char* name,
-                    const char* dflt) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return dflt;
-}
 
 std::vector<Packet> make_workload(std::uint32_t ports, Duration duration_ns) {
   std::vector<std::vector<Packet>> parts;
@@ -104,42 +90,12 @@ control::ShardedSystem::Config system_config(std::uint32_t ports) {
   return cfg;
 }
 
-std::uint64_t peak_rss_kb() {
-  // VmHWM is the high-watermark of the resident set — exactly the "peak
-  // RSS" a leaky or bloated data structure moves.
-  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-      std::uint64_t kb = 0;
-      if (std::sscanf(line, "VmHWM: %lu kB", &kb) == 1) {
-        std::fclose(f);
-        return kb;
-      }
-    }
-    std::fclose(f);
-  }
-  return 0;
-}
-
 double exact_quantile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
   const auto idx = static_cast<std::size_t>(
       q * static_cast<double>(v.size() - 1) + 0.5);
   return v[std::min(idx, v.size() - 1)];
-}
-
-sim::EgressContext to_context(const wire::TelemetryRecord& r) {
-  sim::EgressContext ctx;
-  ctx.flow = r.flow;
-  ctx.egress_port = r.egress_port;
-  ctx.size_bytes = r.size_bytes;
-  ctx.packet_cells = static_cast<std::uint16_t>(bytes_to_cells(r.size_bytes));
-  ctx.enq_qdepth = r.enq_qdepth;
-  ctx.enq_timestamp = r.enq_timestamp;
-  ctx.deq_timedelta = r.deq_timedelta;
-  ctx.packet_id = r.packet_id;
-  return ctx;
 }
 
 struct ReplayOutcome {
@@ -326,7 +282,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t p = 0; p < sys.engine().num_ports(); ++p) {
     const auto& recs = sys.engine().port(p).records();
     shard_ctxs[p].reserve(recs.size());
-    for (const auto& r : recs) shard_ctxs[p].push_back(to_context(r));
+    for (const auto& r : recs) shard_ctxs[p].push_back(serve::to_context(r));
   }
   core::PipelineConfig replay_cfg = system_config(ports).pipeline;
   // The replay metric is the data-plane hot path: windows + monitor + gap

@@ -24,11 +24,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
+#include "common/cli_args.h"
 #include "control/query_service.h"
 #include "serve/feed.h"
 #include "serve/query_router.h"
@@ -38,36 +37,6 @@
 namespace {
 
 using namespace pq;
-
-double arg_double(int argc, char** argv, const char* name, double dflt) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return dflt;
-}
-
-const char* arg_str(int argc, char** argv, const char* name,
-                    const char* dflt) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return dflt;
-}
-
-std::uint64_t peak_rss_kb() {
-  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-      std::uint64_t kb = 0;
-      if (std::sscanf(line, "VmHWM: %lu kB", &kb) == 1) {
-        std::fclose(f);
-        return kb;
-      }
-    }
-    std::fclose(f);
-  }
-  return 0;
-}
 
 double exact_quantile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;

@@ -20,24 +20,19 @@ ShardedAnalysis::ShardedAnalysis(core::ShardedPipeline& pipeline,
     }
   }
   dq_cursors_.assign(programs_.size(), 0);
-  shard_health_.assign(programs_.size(), HealthStats{});
   epoch_hooks_.seal = [this](std::uint32_t shard, const sim::EpochSeal& s) {
     return seal_epoch(shard, s);
   };
-  epoch_hooks_.ready = [this](std::uint64_t epoch,
+  epoch_hooks_.ready = [this](std::uint64_t /*epoch*/,
                               const std::vector<std::shared_ptr<void>>& sides,
-                              bool /*last_epoch*/) {
-    epoch_ready(epoch, sides);
-  };
+                              bool /*last_epoch*/) { epoch_ready(sides); };
 }
 
 void ShardedAnalysis::begin_epoch_run() {
   for (std::uint32_t i = 0; i < programs_.size(); ++i) {
     dq_cursors_[i] = program_unchecked(i).dq_captures(0).size();
-    shard_health_[i] = program_unchecked(i).health();
   }
   merged_dq_.clear();
-  epochs_merged_ = 0;
 }
 
 std::shared_ptr<void> ShardedAnalysis::seal_epoch(std::uint32_t shard,
@@ -46,24 +41,23 @@ std::shared_ptr<void> ShardedAnalysis::seal_epoch(std::uint32_t shard,
   // engine advanced the port to the boundary and flushed the hook batch, so
   // the captures below are exactly this epoch's firings. Everything the
   // consumer will touch is copied here.
-  auto side = std::make_shared<EpochSidecar>();
+  auto side = std::make_shared<std::vector<ShardDq>>();
   const auto& captures = program_unchecked(shard).dq_captures(0);
-  side->dqs.reserve(captures.size() - dq_cursors_[shard]);
+  side->reserve(captures.size() - dq_cursors_[shard]);
   for (std::size_t seq = dq_cursors_[shard]; seq < captures.size(); ++seq) {
     ShardDq d;
     d.global_prefix = shard;
     d.seq = seq;
     d.notification = captures[seq].notification;
     d.notification.port_prefix = shard;
-    side->dqs.push_back(d);
+    side->push_back(d);
   }
   dq_cursors_[shard] = captures.size();
-  side->health = program_unchecked(shard).health();
   return side;
 }
 
 void ShardedAnalysis::epoch_ready(
-    std::uint64_t, const std::vector<std::shared_ptr<void>>& sidecars) {
+    const std::vector<std::shared_ptr<void>>& sidecars) {
   // Consumer side: one epoch's sidecars in shard order. Each shard's DQs
   // are in firing order and every timestamp lies in this epoch's span, so
   // appending in shard order and stable-sorting the appended span on the
@@ -71,22 +65,15 @@ void ShardedAnalysis::epoch_ready(
   const std::size_t base = merged_dq_.size();
   for (std::uint32_t s = 0; s < sidecars.size(); ++s) {
     if (sidecars[s] == nullptr) continue;
-    const auto& side = *static_cast<const EpochSidecar*>(sidecars[s].get());
-    merged_dq_.insert(merged_dq_.end(), side.dqs.begin(), side.dqs.end());
-    shard_health_[s] = side.health;
+    const auto& dqs =
+        *static_cast<const std::vector<ShardDq>*>(sidecars[s].get());
+    merged_dq_.insert(merged_dq_.end(), dqs.begin(), dqs.end());
   }
   std::stable_sort(merged_dq_.begin() + static_cast<std::ptrdiff_t>(base),
                    merged_dq_.end(), [](const ShardDq& a, const ShardDq& b) {
                      return a.notification.deq_timestamp <
                             b.notification.deq_timestamp;
                    });
-  ++epochs_merged_;
-}
-
-HealthStats ShardedAnalysis::epoch_health() const {
-  HealthStats total;
-  for (const auto& h : shard_health_) total += h;
-  return total;
 }
 
 void ShardedAnalysis::finalize(Timestamp end_time) {
@@ -97,41 +84,6 @@ std::vector<std::pair<FlowId, double>> ShardedAnalysis::top_culprits(
     std::uint32_t global_prefix, Timestamp t1, Timestamp t2,
     std::size_t k) const {
   return core::top_k_flows(query_time_windows(global_prefix, t1, t2), k);
-}
-
-std::vector<ShardedAnalysis::ShardDq> ShardedAnalysis::merged_dq_notifications()
-    const {
-  std::size_t total = 0;
-  for (std::uint32_t i = 0; i < programs_.size(); ++i) {
-    total += program_unchecked(i).dq_captures(0).size();
-  }
-  // An epoch-handoff run assembled the stream while the shards drained;
-  // serve it when it covers every capture (it won't after a legacy run, a
-  // second run on the same system, or captures fired during finalize).
-  if (!merged_dq_.empty() && merged_dq_.size() == total) return merged_dq_;
-
-  std::vector<ShardDq> merged;
-  merged.reserve(total);
-  for (std::uint32_t i = 0; i < programs_.size(); ++i) {
-    const auto& captures = program_unchecked(i).dq_captures(0);
-    for (std::uint64_t seq = 0; seq < captures.size(); ++seq) {
-      ShardDq d;
-      d.global_prefix = i;
-      d.seq = seq;
-      d.notification = captures[seq].notification;
-      d.notification.port_prefix = i;
-      merged.push_back(d);
-    }
-  }
-  // Shards were appended in index order with per-shard firing order intact,
-  // so a stable sort on the timestamp alone realises the documented
-  // (deq_timestamp, shard, firing order) merge order.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const ShardDq& a, const ShardDq& b) {
-                     return a.notification.deq_timestamp <
-                            b.notification.deq_timestamp;
-                   });
-  return merged;
 }
 
 HealthStats ShardedAnalysis::health() const {
@@ -179,14 +131,14 @@ void ShardedSystem::run(std::vector<Packet> packets, unsigned threads,
 
 void ShardedSystem::run(std::vector<Packet> packets,
                         const sim::ShardedEngine::RunOptions& opts) {
-  if (opts.epoch_ns > 0) analysis_->begin_epoch_run();
+  analysis_->begin_epoch_run();
   engine_.run(std::move(packets), opts);
   finalize_run();
 }
 
 void ShardedSystem::run_partitioned(std::vector<std::vector<Packet>> shards,
                                     const sim::ShardedEngine::RunOptions& opts) {
-  if (opts.epoch_ns > 0) analysis_->begin_epoch_run();
+  analysis_->begin_epoch_run();
   engine_.run_partitioned(std::move(shards), opts);
   finalize_run();
 }

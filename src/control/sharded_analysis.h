@@ -84,32 +84,27 @@ class ShardedAnalysis {
     core::DqNotification notification;  ///< port_prefix rewritten to global
   };
 
-  /// Every shard's data-plane-query notifications merged in dequeue-
-  /// timestamp order (ties: shard index, then firing order). An
-  /// epoch-handoff run builds this incrementally while shards drain; the
-  /// call falls back to the end-of-run merge whenever the incremental view
-  /// does not cover every capture the shards hold.
-  std::vector<ShardDq> merged_dq_notifications() const;
+  /// The data-plane-query notifications every shard fired during the
+  /// engine run, merged in dequeue-timestamp order (ties: shard index, then
+  /// firing order). Built epoch by epoch while the shards drain.
+  const std::vector<ShardDq>& merged_dq_notifications() const {
+    return merged_dq_;
+  }
 
   // --- Epoch-batched handoff (sim/epoch_handoff.h) ---
 
-  /// Callbacks the engine drives when a run sets epoch_ns > 0. The seal
-  /// side runs on the worker that owns the shard and snapshots the DQ
-  /// captures fired this epoch plus the shard's cumulative HealthStats into
-  /// the chunk's sidecar; the ready side runs on the run() caller thread
-  /// and folds them into the merged views — so by the time the workers
-  /// join, merged_dq_notifications() is already assembled. Stable for the
-  /// life of this object; pass to ShardedEngine::set_epoch_hooks.
+  /// Callbacks the engine drives at every epoch seal. The seal side runs
+  /// on the worker that owns the shard and copies the DQ captures fired
+  /// this epoch into the chunk's sidecar; the ready side runs on the run()
+  /// caller thread and folds them into the merged stream — so by the time
+  /// the workers join, merged_dq_notifications() is already assembled.
+  /// Stable for the life of this object; pass to
+  /// ShardedEngine::set_epoch_hooks.
   const sim::EpochHooks& epoch_hooks() const { return epoch_hooks_; }
 
-  /// Resets the incremental cursors/views for a new epoch-handoff run.
-  /// ShardedSystem calls this before every such run; harmless otherwise.
+  /// Resets the incremental cursors and merged stream for an engine run.
+  /// ShardedSystem calls this before its run.
   void begin_epoch_run();
-
-  /// Epochs merged by the current/last epoch-handoff run (0 on the legacy
-  /// path) and the health aggregate as of the last merged epoch.
-  std::uint64_t epochs_merged() const { return epochs_merged_; }
-  HealthStats epoch_health() const;
 
   /// Shard-local HealthStats aggregated over all shards.
   HealthStats health() const;
@@ -118,20 +113,12 @@ class ShardedAnalysis {
   std::uint64_t bytes_polled() const;
 
  private:
-  /// What one shard packs into a RecordChunk sidecar at seal time: copies
-  /// only, so the consumer thread never touches live shard state.
-  struct EpochSidecar {
-    std::vector<ShardDq> dqs;  ///< fired this epoch, firing order
-    HealthStats health;        ///< shard-cumulative as of the seal
-  };
-
   const AnalysisProgram& program_unchecked(std::uint32_t i) const {
     return *programs_[i];
   }
   std::shared_ptr<void> seal_epoch(std::uint32_t shard,
                                    const sim::EpochSeal& seal);
-  void epoch_ready(std::uint64_t epoch,
-                   const std::vector<std::shared_ptr<void>>& sidecars);
+  void epoch_ready(const std::vector<std::shared_ptr<void>>& sidecars);
 
   core::ShardedPipeline& pipe_;
   std::vector<std::unique_ptr<AnalysisProgram>> programs_;
@@ -144,11 +131,8 @@ class ShardedAnalysis {
   /// draining the shard touches its slot (same ownership rule as the
   /// shard's registers).
   std::vector<std::size_t> dq_cursors_;
-  /// Consumer-thread state: the incrementally merged DQ stream and the
-  /// latest cumulative HealthStats seen from each shard.
+  /// Consumer-thread state: the incrementally merged DQ stream.
   std::vector<ShardDq> merged_dq_;
-  std::vector<HealthStats> shard_health_;
-  std::uint64_t epochs_merged_ = 0;
 };
 
 /// Everything a port-sharded run needs, wired: engine + shards + per-shard
@@ -163,11 +147,10 @@ class ShardedSystem {
     AnalysisConfig analysis;
     /// Nullopt disables fault injection entirely.
     std::optional<faults::FaultPlanConfig> faults;
-    /// Simulated-time epoch for the incremental shard handoff; the default
-    /// seals every 4 ms of simulated time. 0 restores the legacy
-    /// end-of-run merge barrier. Results are byte-identical either way —
-    /// the epoch size is a scheduling knob (docs/ARCHITECTURE.md §8).
-    Duration epoch_ns = 4'000'000;
+    /// Simulated-time epoch for the incremental shard handoff; must be
+    /// > 0. Results are byte-identical for any value — the epoch size is a
+    /// scheduling knob (docs/ARCHITECTURE.md §8).
+    Duration epoch_ns = sim::kDefaultEpochNs;
   };
 
   explicit ShardedSystem(Config cfg);
@@ -175,7 +158,8 @@ class ShardedSystem {
   /// Runs the workload on `threads` workers and takes the final checkpoint
   /// at the last departure across all ports. `batch` > 1 drains each shard
   /// in PacketBatch chunks (see ShardedEngine::run); results are
-  /// byte-identical for any batch size.
+  /// byte-identical for any batch size. Single-shot, like the engine: run()
+  /// and run_partitioned() together may be called once.
   void run(std::vector<Packet> packets, unsigned threads = 1,
            std::uint32_t batch = 1);
 

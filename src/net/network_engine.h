@@ -50,7 +50,7 @@ struct NodeConfig {
   /// ShardedFaultPlan from this seed, so per-switch schedules match what
   /// the same switch would produce standalone).
   std::optional<faults::FaultPlanConfig> faults;
-  Duration epoch_ns = 4'000'000;
+  Duration epoch_ns = sim::kDefaultEpochNs;
   /// Depth-series collection on the telemetry ports (off by default:
   /// network runs multiply ports, and the series is a memory hog).
   bool collect_depth_series = false;

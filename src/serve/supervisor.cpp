@@ -19,6 +19,24 @@ sim::EgressContext to_context(const wire::TelemetryRecord& r) {
   return ctx;
 }
 
+void replay_records(std::span<const wire::TelemetryRecord> records,
+                    sim::EgressHook& hook, std::size_t batch,
+                    sim::PacketBatch& scratch) {
+  if (batch <= 1) {
+    for (const auto& r : records) hook.on_egress(to_context(r));
+    return;
+  }
+  scratch.reserve(batch);
+  for (std::size_t begin = 0; begin < records.size(); begin += batch) {
+    const std::size_t end = std::min(records.size(), begin + batch);
+    scratch.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      scratch.push(to_context(records[i]));
+    }
+    hook.on_egress_batch(scratch);
+  }
+}
+
 ShardSupervisor::ShardSupervisor(core::ShardedPipeline& pipeline,
                                  control::ShardedAnalysis& analysis,
                                  faults::ShardedFaultPlan* faults,
@@ -55,7 +73,6 @@ void ShardSupervisor::worker_loop(std::uint32_t prefix) {
   }
   std::vector<wire::TelemetryRecord> recs;
   sim::PacketBatch pb;
-  pb.reserve(opts_.batch);
   for (;;) {
     recs.clear();
     const std::size_t n =
@@ -66,13 +83,7 @@ void ShardSupervisor::worker_loop(std::uint32_t prefix) {
     }
     {
       std::lock_guard<std::mutex> lk(sh.mu);
-      if (opts_.batch <= 1) {
-        for (const auto& r : recs) sh.hook->on_egress(to_context(r));
-      } else {
-        pb.clear();
-        for (const auto& r : recs) pb.push(to_context(r));
-        sh.hook->on_egress_batch(pb);
-      }
+      replay_records(recs, *sh.hook, opts_.batch, pb);
       sh.last_deq = std::max(sh.last_deq, recs.back().deq_timestamp());
     }
     sh.absorbed.fetch_add(n, std::memory_order_relaxed);

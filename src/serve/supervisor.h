@@ -2,12 +2,13 @@
 // queue per port shard, with a watchdog view over all of them.
 //
 // The worker replays queue batches through the shard's egress hook chain
-// (faults, if planned, then the PortPipeline) exactly like pq_replay's
-// drain loop — and because absorb_batch is split-invariant (ARCHITECTURE
-// §10), the variable-size chunks the daemon happens to pop produce the
-// same register state and archive bytes as any offline replay of the same
-// per-port record stream. Shard state is guarded by a per-shard mutex so
-// the query router and metrics collector can read mid-ingest.
+// (faults, if planned, then the PortPipeline) with replay_records(), the
+// loop pq_replay drains its shards with — and because absorb_batch is
+// split-invariant (ARCHITECTURE §10), the variable-size chunks the daemon
+// happens to pop produce the same register state and archive bytes as any
+// offline replay of the same per-port record stream. Shard state is guarded
+// by a per-shard mutex so the query router and metrics collector can read
+// mid-ingest.
 //
 // Robustness posture:
 //   - submit() routes by egress port; unknown ports are rejected with a
@@ -25,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -140,5 +142,14 @@ class ShardSupervisor {
 /// The record -> egress-context mapping shared with pq_replay: cells are
 /// derived from bytes, everything else is carried verbatim.
 sim::EgressContext to_context(const wire::TelemetryRecord& r);
+
+/// Replays one shard's records, in dequeue order, into `hook`: one
+/// on_egress per record when `batch` <= 1 (the scalar oracle), otherwise
+/// on_egress_batch over consecutive chunks of up to `batch` contexts built
+/// in `scratch`, which the caller owns so a long-lived worker reuses its
+/// storage.
+void replay_records(std::span<const wire::TelemetryRecord> records,
+                    sim::EgressHook& hook, std::size_t batch,
+                    sim::PacketBatch& scratch);
 
 }  // namespace pq::serve

@@ -1,24 +1,23 @@
-// Epoch-batched record handoff: the incremental replacement for the
-// end-of-run merge barrier.
+// Epoch-batched record handoff: how shard outputs reach the caller thread.
 //
 // Simulated time is cut into fixed epochs of `epoch_ns`. A shard worker
 // advances its port to each epoch boundary (EgressPort::advance_to), flushes
 // the hook batch, and seals everything that departed in that epoch — the
 // newly appended telemetry records plus an opaque control-plane sidecar
-// (control::ShardedAnalysis packs its DQ captures and health counters in
-// there) — into a RecordChunk pushed onto the shard's SPSC queue. The run()
-// caller thread consumes chunks while the workers are still draining and
-// performs the deterministic dequeue-order merge one epoch at a time, so by
-// the time the last worker joins the merged views are already built: the
-// serial tail that made 8 threads run at 1x is gone.
+// (control::ShardedAnalysis packs its DQ captures in there) — into a
+// RecordChunk pushed onto the shard's SPSC queue. The run() caller thread
+// consumes chunks while the workers are still draining and performs the
+// deterministic dequeue-order merge one epoch at a time, so by the time the
+// last worker joins the merged views are already built.
 //
 // Determinism: chunk `e` of every shard contains exactly the events with
 // dequeue timestamp in (e*epoch_ns, (e+1)*epoch_ns] — advance_to executes
 // all departures at or before the boundary before the seal, on every shard,
 // so a concatenation in shard order followed by a stable sort on the
-// timestamp alone reproduces the documented (deq_timestamp, shard index,
-// per-shard order) merge order of the old global sort, for ANY epoch size,
-// thread count, or batch size (tests/sim/epoch_handoff_test.cpp,
+// timestamp alone yields the documented (deq_timestamp, shard index,
+// per-shard order) merge order, the same as one stable sort over every
+// shard's records, for ANY epoch size, thread count, or batch size
+// (tests/sim/epoch_handoff_test.cpp,
 // tests/integration/sharded_determinism_test.cpp).
 #pragma once
 
@@ -45,8 +44,8 @@ struct EpochSeal {
 };
 
 /// What a shard publishes per epoch: its records for the span plus an
-/// opaque sidecar the control layer attaches at seal time (DQ captures,
-/// health counters — sim never looks inside).
+/// opaque sidecar the control layer attaches at seal time (DQ captures —
+/// sim never looks inside).
 struct RecordChunk {
   std::uint64_t epoch = 0;
   bool final_chunk = false;

@@ -6,7 +6,6 @@
 #include <cassert>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -116,8 +115,7 @@ std::vector<std::vector<Packet>> ShardedEngine::partition(
     const std::function<std::uint32_t(const Packet&)>& fwd,
     std::size_t num_ports) {
   assert(arrival_sorted(packets));
-  // Two passes: decide+count, then reserve+scatter. The old single-pass
-  // push_back loop spent its time in vector growth; pre-counting makes
+  // Two passes: decide+count, then reserve+scatter. Pre-counting makes
   // every shard exactly one allocation.
   std::vector<std::uint32_t> dest(packets.size());
   std::vector<std::size_t> counts(num_ports, 0);
@@ -201,9 +199,18 @@ void ShardedEngine::run(std::vector<Packet> packets, unsigned threads,
   run(std::move(packets), opts);
 }
 
+void ShardedEngine::start_run(const RunOptions& opts) {
+  // A zero step would never advance past the first epoch boundary.
+  if (opts.epoch_ns == 0) {
+    throw std::invalid_argument("ShardedEngine: epoch_ns must be positive");
+  }
+  if (ran_) throw std::logic_error("ShardedEngine::run is single-shot");
+  ran_ = true;
+}
+
 void ShardedEngine::run(std::vector<Packet> packets, const RunOptions& opts) {
-  // Generator output is already arrival-ordered; sorting it again on every
-  // run was pure hot-path waste, so sort only when actually needed.
+  start_run(opts);
+  // Generator output is already arrival-ordered; sort only when needed.
   if (!arrival_sorted(packets)) {
     std::stable_sort(packets.begin(), packets.end(),
                      [](const Packet& a, const Packet& b) {
@@ -224,6 +231,7 @@ void ShardedEngine::run_partitioned(std::vector<std::vector<Packet>> shards,
   if (shards.size() > ports_.size()) {
     throw std::invalid_argument("run_partitioned: more shards than ports");
   }
+  start_run(opts);
   shards.resize(ports_.size());
   run_shards(std::move(shards), opts);
 }
@@ -234,25 +242,22 @@ void ShardedEngine::run_shards(std::vector<std::vector<Packet>>&& shards,
       1u, std::min<unsigned>(opts.threads,
                              static_cast<unsigned>(ports_.size())));
   worker_cpus_.assign(workers, -1);
-  // Incremental merge covers exactly this run; merged_records() falls back
-  // to the end-of-run sort whenever that doesn't span everything the ports
-  // hold (legacy runs, epoch_ns == 0, engines run more than once).
-  merged_.clear();
-  const bool epochs = opts.epoch_ns > 0;
-
+  // Every packet departs at most once, so the shards bound the merged view:
+  // one allocation up front instead of regrowing it while workers drain.
+  std::size_t bound = 0;
+  for (std::size_t p = 0; p < ports_.size(); ++p) {
+    if (ports_[p]->config().collect_records) bound += shards[p].size();
+  }
+  merged_.reserve(bound);
+  // With one worker the caller drains every shard itself and the collector
+  // merges inline at each seal.
+  EpochCollector collector(ports_.size(), /*concurrent=*/workers > 1, merged_,
+                           epoch_hooks_);
   if (workers == 1) {
-    if (epochs) {
-      EpochCollector collector(ports_.size(), /*concurrent=*/false, merged_,
-                               epoch_hooks_);
-      for (std::size_t p = 0; p < ports_.size(); ++p) {
-        drain_shard_epochs(p, shards[p], opts, collector);
-      }
-      collector.finish();
-    } else {
-      for (std::size_t p = 0; p < ports_.size(); ++p) {
-        drain_shard(p, shards[p], opts.batch);
-      }
+    for (std::size_t p = 0; p < ports_.size(); ++p) {
+      drain_shard_epochs(p, shards[p], opts, collector);
     }
+    collector.finish();
     return;
   }
 
@@ -261,11 +266,6 @@ void ShardedEngine::run_shards(std::vector<std::vector<Packet>>&& shards,
   // shard's result. While workers drain, the caller thread consumes sealed
   // epoch chunks and performs the deterministic merge; exceptions are
   // rethrown on the caller thread after the join.
-  std::optional<EpochCollector> collector;
-  if (epochs) {
-    collector.emplace(ports_.size(), /*concurrent=*/true, merged_,
-                      epoch_hooks_);
-  }
   std::atomic<std::size_t> next{0};
   std::atomic<unsigned> active{workers};
   std::mutex err_mu;
@@ -276,11 +276,7 @@ void ShardedEngine::run_shards(std::vector<std::vector<Packet>>&& shards,
          p < ports_.size();
          p = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
-        if (epochs) {
-          drain_shard_epochs(p, shards[p], opts, *collector);
-        } else {
-          drain_shard(p, shards[p], opts.batch);
-        }
+        drain_shard_epochs(p, shards[p], opts, collector);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(err_mu);
         if (!err) err = std::current_exception();
@@ -291,34 +287,23 @@ void ShardedEngine::run_shards(std::vector<std::vector<Packet>>&& shards,
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker, t);
-  if (epochs) {
-    // Consume until every producer exited; this also keeps the bounded
-    // queues moving, so a worker can never block forever in publish().
-    while (active.load(std::memory_order_acquire) > 0) {
-      if (!collector->poll()) std::this_thread::yield();
-    }
+  // Consume until every producer exited; this also keeps the bounded
+  // queues moving, so a worker can never block forever in publish().
+  while (active.load(std::memory_order_acquire) > 0) {
+    if (!collector.poll()) std::this_thread::yield();
   }
   for (auto& t : pool) t.join();
   if (err) std::rethrow_exception(err);
-  if (epochs) collector->finish();
-}
-
-void ShardedEngine::drain_shard(std::size_t p, const std::vector<Packet>& shard,
-                                std::uint32_t batch) {
-  // Shard-local wall-clock accounting: only the worker that claimed shard
-  // `p` touches drain_ns_[p], so no synchronisation is needed (and the
-  // stopwatch is a no-op in PQ_METRICS=OFF builds).
-  const obs::StopwatchNs watch;
-  ports_[p]->set_hook_batch(batch);
-  for (const auto& pkt : shard) ports_[p]->offer(pkt);
-  ports_[p]->drain();
-  drain_ns_[p] += watch.elapsed_ns();
+  collector.finish();
 }
 
 void ShardedEngine::drain_shard_epochs(std::size_t p,
                                        const std::vector<Packet>& shard,
                                        const RunOptions& opts,
                                        EpochCollector& collector) {
+  // Shard-local wall-clock accounting: only the worker that claimed shard
+  // `p` touches drain_ns_[p], so no synchronisation is needed (and the
+  // stopwatch is a no-op in PQ_METRICS=OFF builds).
   const obs::StopwatchNs watch;
   EgressPort& port = *ports_[p];
   port.set_hook_batch(opts.batch);
@@ -373,28 +358,6 @@ void ShardedEngine::drain_shard_epochs(std::size_t p,
   port.drain();
   seal(true, boundary);
   drain_ns_[p] += watch.elapsed_ns();
-}
-
-std::vector<wire::TelemetryRecord> ShardedEngine::merged_records() const {
-  std::size_t total = 0;
-  for (const auto& p : ports_) total += p->records().size();
-  // An epoch-handoff run already merged everything incrementally.
-  if (!merged_.empty() && merged_.size() == total) return merged_;
-
-  std::vector<wire::TelemetryRecord> all;
-  all.reserve(total);
-  for (const auto& p : ports_) {
-    all.insert(all.end(), p->records().begin(), p->records().end());
-  }
-  // Ports are appended in index order and each port's records are already
-  // in dequeue order, so a stable sort on the timestamp alone yields the
-  // documented (deq_timestamp, port index, per-port order) merge order.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const wire::TelemetryRecord& a,
-                      const wire::TelemetryRecord& b) {
-                     return a.deq_timestamp() < b.deq_timestamp();
-                   });
-  return all;
 }
 
 }  // namespace pq::sim

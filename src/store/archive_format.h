@@ -38,7 +38,6 @@ inline constexpr std::uint32_t kEndMagic = 0x50514531;      // "PQE1"
 /// after compaction recodes cold segments) read seamlessly.
 inline constexpr std::uint16_t kFormatVersionV1 = 1;
 inline constexpr std::uint16_t kFormatVersionV2 = 2;
-inline constexpr std::uint16_t kFormatVersion = kFormatVersionV1;  // legacy alias
 /// Default sampling stride of the sparse time index (one sample every N
 /// blocks). Coarse enough to stay tiny, fine enough that an `--as-of` seek
 /// touches O(log n) samples + at most one stride of per-block checks.

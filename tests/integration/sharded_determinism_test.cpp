@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "control/analysis_program.h"
-#include "sim/switch.h"
 #include "sharded_harness.h"
+#include "sim/egress_port.h"
 
 namespace pq {
 namespace {
@@ -99,16 +99,17 @@ TEST(ShardedDeterminism, SixteenThreadsWideWorkload) {
   }
 }
 
-// The epoch-batched handoff is a scheduling change, not a semantic one: any
-// epoch size (tiny and relatively prime to everything, the 4 ms default,
-// absurdly large) must be byte-identical to the legacy end-of-run merge
-// barrier (epoch_ns = 0), at any thread count, under an active FaultPlan.
+// The epoch size is a scheduling knob, not a semantic one: any epoch size
+// (tiny and relatively prime to everything, the 4 ms default, absurdly
+// large) must be byte-identical, at any thread count, under an active
+// FaultPlan, to the scalar single-thread run whose one epoch spans the
+// whole trace — every merge there is one global sort.
 TEST(ShardedDeterminism, EpochHandoffMatchesLegacyMerge) {
   const auto packets = workload();
-  harness::RunSpec legacy;
-  legacy.with_faults = true;
-  legacy.epoch_ns = 0;
-  const RunResult oracle = run_once(packets, legacy);
+  harness::RunSpec single_epoch;
+  single_epoch.with_faults = true;
+  single_epoch.epoch_ns = Duration{1} << 40;
+  const RunResult oracle = run_once(packets, single_epoch);
   ASSERT_GT(oracle.packets_seen, 0u);
   EXPECT_GT(oracle.dq_fired, 0u);
 
@@ -138,16 +139,16 @@ TEST(ShardedDeterminism, ShardMatchesMonolithicSinglePort) {
   auto pkts = traffic::generate_flow_trace(tcfg);
   for (auto& pk : pkts) pk.egress_hint = 0;
 
-  // Monolithic: one pipeline, one port, via the Switch facade.
+  // Monolithic: one pipeline on a bare egress port.
   core::PipelineConfig pcfg = system_config(false).pipeline;
   pcfg.dq_depth_threshold_cells = 0;  // compare the polling path only
   core::PrintQueuePipeline mono(pcfg);
   mono.enable_port(0);
   control::AnalysisProgram mono_ap(mono, {});
-  sim::Switch sw({sim::PortConfig{}});
-  sw.add_hook(0, &mono);
-  sw.run(pkts);
-  mono_ap.finalize(sw.port(0).stats().last_departure + 1);
+  sim::EgressPort port(sim::PortConfig{});
+  port.add_hook(&mono);
+  port.run(pkts);
+  mono_ap.finalize(port.stats().last_departure + 1);
 
   // Sharded: same config, one shard, parallel path.
   auto scfg = system_config(false);
@@ -164,6 +165,13 @@ TEST(ShardedDeterminism, ShardMatchesMonolithicSinglePort) {
     ASSERT_NE(it, b.end());
     EXPECT_DOUBLE_EQ(n, it->second);
   }
+}
+
+// The wired switch refuses an empty port list before wiring any shard.
+TEST(ShardedSystem, RejectsZeroPorts) {
+  auto cfg = system_config(true);
+  cfg.ports.clear();
+  EXPECT_THROW(control::ShardedSystem{cfg}, std::invalid_argument);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 // field added to RunResult strengthens every sweep at once.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
@@ -148,7 +150,8 @@ struct RunResult {
   std::vector<std::uint8_t> registers;  ///< all shards, all banks
   std::vector<std::pair<std::uint64_t, double>> answers;  ///< sorted counts
   std::vector<std::uint8_t> fault_schedule;
-  std::vector<std::uint64_t> dq_stream;  ///< (prefix, deq_ts) pairs flattened
+  /// (prefix, firing seq, deq_ts, victim flow) per notification, flattened
+  std::vector<std::uint64_t> dq_stream;
   control::HealthStats health;
   std::uint64_t packets_seen = 0;
   std::uint64_t dq_fired = 0;
@@ -169,18 +172,53 @@ struct RunSpec {
   unsigned threads = 1;
   std::uint32_t batch = 1;
   std::uint32_t ports = kPorts;
-  /// Engine epoch size; nullopt = the ShardedSystem::Config default
-  /// (epoch handoff on), 0 = the legacy end-of-run merge barrier.
+  /// Engine epoch size; nullopt = the ShardedSystem::Config default.
   std::optional<Duration> epoch_ns;
   bool pin_threads = false;
 };
+
+inline void encode_dq(std::vector<std::uint64_t>& out,
+                      const control::ShardedAnalysis::ShardDq& d) {
+  out.push_back(d.global_prefix);
+  out.push_back(d.seq);
+  out.push_back(d.notification.deq_timestamp);
+  out.push_back(flow_signature(d.notification.victim_flow));
+}
+
+/// The merged DQ stream's reference, built without the epoch handoff: every
+/// shard's captures appended in shard order, then one stable sort by
+/// dequeue time.
+inline std::vector<std::uint64_t> reference_dq_stream(
+    const control::ShardedAnalysis& analysis) {
+  std::vector<control::ShardedAnalysis::ShardDq> all;
+  for (std::uint32_t s = 0; s < analysis.num_shards(); ++s) {
+    const auto& captures = analysis.program(s).dq_captures(0);
+    for (std::uint64_t seq = 0; seq < captures.size(); ++seq) {
+      control::ShardedAnalysis::ShardDq d;
+      d.global_prefix = s;
+      d.seq = seq;
+      d.notification = captures[seq].notification;
+      all.push_back(d);
+    }
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const control::ShardedAnalysis::ShardDq& a,
+                      const control::ShardedAnalysis::ShardDq& b) {
+                     return a.notification.deq_timestamp <
+                            b.notification.deq_timestamp;
+                   });
+  std::vector<std::uint64_t> out;
+  for (const auto& d : all) encode_dq(out, d);
+  return out;
+}
 
 /// Flattens a finished system to the full comparison surface. Factored out
 /// of run_once() so other drivers of a ShardedSystem — in particular the
 /// NetworkEngine's per-switch nodes (tests/net/network_differential_test) —
 /// can assert byte-identity against a standalone run over the exact same
 /// surface instead of a hand-picked subset. `archive_dir` is the directory
-/// the (already closed) archive was written to.
+/// the (already closed) archive was written to. Every call also checks the
+/// incrementally merged DQ stream against reference_dq_stream().
 inline RunResult collect_result(control::ShardedSystem& sys,
                                 const std::string& archive_dir) {
   RunResult r;
@@ -209,10 +247,10 @@ inline RunResult collect_result(control::ShardedSystem& sys,
   }
 
   for (const auto& d : sys.analysis().merged_dq_notifications()) {
-    r.dq_stream.push_back(d.global_prefix);
-    r.dq_stream.push_back(d.notification.deq_timestamp);
-    r.dq_stream.push_back(flow_signature(d.notification.victim_flow));
+    encode_dq(r.dq_stream, d);
   }
+  EXPECT_EQ(r.dq_stream, reference_dq_stream(sys.analysis()))
+      << "merged DQ stream differs from the per-shard captures";
   if (sys.faults() != nullptr) {
     r.fault_schedule = sys.faults()->serialize_merged_schedule();
   }

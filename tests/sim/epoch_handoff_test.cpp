@@ -2,11 +2,12 @@
 // ANY epoch size — one that slices the run into thousands of chunks, an odd
 // one that never aligns with packet times, one bigger than the whole run —
 // and any thread/batch combination, the per-port record streams and the
-// merged dequeue-order view must be byte-identical to the legacy
-// end-of-run merge (epoch_ns = 0, one thread). The hook protocol is pinned
-// separately: per-shard epochs arrive contiguously from 0 with exactly one
-// final seal, the consumer sees epochs in order, and sidecars ride from
-// seal to ready untouched.
+// merged dequeue-order view must be byte-identical to an independent
+// reference: each partitioned shard run through a standalone EgressPort,
+// and one stable sort of all their records by dequeue time. The hook
+// protocol is pinned separately: per-shard epochs arrive contiguously from
+// 0 with exactly one final seal, the consumer sees epochs in order, and
+// sidecars ride from seal to ready untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,14 +32,16 @@ std::vector<Packet> workload() {
   return traffic::generate_flow_trace(tcfg);
 }
 
-ShardedEngine make_engine() {
+std::vector<PortConfig> port_configs() {
   std::vector<PortConfig> cfgs(kPorts);
   for (std::uint32_t p = 0; p < kPorts; ++p) {
     cfgs[p].port_id = p;
     cfgs[p].collect_depth_series = false;
   }
-  return ShardedEngine(std::move(cfgs));
+  return cfgs;
 }
+
+ShardedEngine make_engine() { return ShardedEngine(port_configs()); }
 
 /// Flattens a record stream to comparable words (TelemetryRecord has no
 /// operator==; every field that can differ is encoded).
@@ -75,10 +78,36 @@ EngineOutput run_engine(const std::vector<Packet>& packets,
   return out;
 }
 
+/// The reference the engine must reproduce, built without it: each shard of
+/// the engine's default partition drained by a standalone EgressPort, and
+/// the merged view as one stable sort, by dequeue time, of those ports'
+/// records appended in port order.
+EngineOutput reference(const std::vector<Packet>& packets) {
+  const auto cfgs = port_configs();
+  auto shards =
+      ShardedEngine::partition(packets, make_engine().forwarding(), kPorts);
+  EngineOutput out;
+  std::vector<wire::TelemetryRecord> all;
+  for (std::uint32_t p = 0; p < kPorts; ++p) {
+    EgressPort port(cfgs[p]);
+    port.run(std::move(shards[p]));
+    out.per_port.push_back(encode(port.records()));
+    all.insert(all.end(), port.records().begin(), port.records().end());
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const wire::TelemetryRecord& a,
+                      const wire::TelemetryRecord& b) {
+                     return a.deq_timestamp() < b.deq_timestamp();
+                   });
+  out.merged = encode(all);
+  return out;
+}
+
+// The merge the reference performs — one stable sort over every port's
+// records — is the global merge order the epoch handoff must reproduce.
 TEST(EpochHandoff, AnyEpochSizeMatchesLegacyMerge) {
   const auto packets = workload();
-  ShardedEngine::RunOptions legacy;  // epoch_ns = 0: end-of-run merge
-  const EngineOutput oracle = run_engine(packets, legacy);
+  const EngineOutput oracle = reference(packets);
   ASSERT_FALSE(oracle.merged.empty());
 
   for (const Duration epoch : {Duration{1'000}, Duration{77'777},

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 
-#include "sim/switch.h"
-
 namespace pq::sim {
 namespace {
 
@@ -52,6 +50,13 @@ TEST(ShardedEngine, PartitionPreservesPerPortArrivalOrder) {
     for (const auto& p : shards[s]) EXPECT_EQ(p.egress_hint, s);
   }
   EXPECT_EQ(total, 300u);
+}
+
+// Drivers that partition externally get the same rejection run() gives.
+TEST(ShardedEngine, PartitionInvalidForwardingThrows) {
+  EXPECT_THROW(ShardedEngine::partition(
+                   workload(2, 64), [](const Packet&) { return 99u; }, 2),
+               std::out_of_range);
 }
 
 TEST(ShardedEngine, InvalidForwardingThrows) {
@@ -119,25 +124,77 @@ TEST(ShardedEngine, MoreThreadsThanPortsIsFine) {
             100u);
 }
 
-// The Switch facade (single worker) must agree with the engine exactly —
-// it is the same partition-and-drain path.
-TEST(ShardedEngine, SwitchFacadeMatchesEngine) {
-  const auto pkts = workload(2, 500);
-  Switch sw(ports(2));
-  sw.set_forwarding([](const Packet& p) { return p.egress_hint; });
-  sw.run(pkts);
+// Without set_forwarding() the engine hashes the destination IP, which is
+// how the multi-port experiments (paper Fig. 15) spread traffic.
+TEST(ShardedEngine, DefaultForwardingSpreadsFlows) {
+  ShardedEngine eng(ports(2));
+  std::vector<Packet> pkts;
+  for (std::uint32_t i = 0; i < 400; ++i) pkts.push_back(pkt(i, i));
+  eng.run(std::move(pkts), 2);
+  EXPECT_GT(eng.port(0).records().size(), 100u);
+  EXPECT_GT(eng.port(1).records().size(), 100u);
+}
+
+TEST(ShardedEngine, SameFlowAlwaysSamePort) {
+  ShardedEngine eng(ports(2));
+  std::vector<Packet> pkts;
+  for (std::uint32_t i = 0; i < 50; ++i) pkts.push_back(pkt(7, i * 100));
+  eng.run(std::move(pkts), 2);
+  EXPECT_NE(eng.port(0).records().empty(), eng.port(1).records().empty());
+}
+
+TEST(ShardedEngine, ForwardsByFunction) {
+  ShardedEngine eng(ports(2));
+  eng.set_forwarding([](const Packet& p) {
+    return p.flow.dst_port % 2 == 0 ? 0u : 1u;
+  });
+  std::vector<Packet> pkts;
+  for (std::uint32_t i = 0; i < 100; ++i) pkts.push_back(pkt(i, i * 10));
+  eng.run(std::move(pkts), 2);
+  EXPECT_EQ(eng.port(0).records().size() + eng.port(1).records().size(),
+            100u);
+  EXPECT_GT(eng.port(0).records().size(), 0u);
+  EXPECT_GT(eng.port(1).records().size(), 0u);
+  for (const auto& r : eng.port(0).records()) {
+    EXPECT_EQ(r.flow.dst_port % 2, 0);
+  }
+}
+
+TEST(ShardedEngine, PortIdsAppearInRecords) {
+  ShardedEngine eng(ports(2));
+  std::vector<Packet> pkts;
+  for (std::uint32_t i = 0; i < 64; ++i) pkts.push_back(pkt(i, i * 3));
+  eng.run(std::move(pkts), 2);
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    EXPECT_FALSE(eng.port(p).records().empty()) << p;
+    for (const auto& r : eng.port(p).records()) EXPECT_EQ(r.egress_port, p);
+  }
+}
+
+// Runs are single-shot: the merged views describe exactly one run, so a
+// second one (through either entry point) is refused and leaves the first
+// run's results intact.
+TEST(ShardedEngine, SecondRunThrows) {
   ShardedEngine eng(ports(2));
   eng.set_forwarding([](const Packet& p) { return p.egress_hint; });
-  eng.run(pkts, 2);
-  for (std::uint32_t p = 0; p < 2; ++p) {
-    ASSERT_EQ(sw.port(p).records().size(), eng.port(p).records().size());
-    for (std::size_t i = 0; i < sw.port(p).records().size(); ++i) {
-      EXPECT_EQ(sw.port(p).records()[i].packet_id,
-                eng.port(p).records()[i].packet_id);
-      EXPECT_EQ(sw.port(p).records()[i].deq_timedelta,
-                eng.port(p).records()[i].deq_timedelta);
-    }
-  }
+  eng.run(workload(2, 100), 2);
+  EXPECT_THROW(eng.run(workload(2, 100), 2), std::logic_error);
+  EXPECT_THROW(eng.run_partitioned({}, ShardedEngine::RunOptions{}),
+               std::logic_error);
+  EXPECT_EQ(eng.merged_records().size(), 100u);
+}
+
+// A zero epoch could never step past its first boundary. The rejection
+// happens before the run starts, so the engine stays usable.
+TEST(ShardedEngine, ZeroEpochThrows) {
+  ShardedEngine eng(ports(2));
+  eng.set_forwarding([](const Packet& p) { return p.egress_hint; });
+  ShardedEngine::RunOptions opts;
+  opts.epoch_ns = 0;
+  EXPECT_THROW(eng.run(workload(2, 100), opts), std::invalid_argument);
+  EXPECT_THROW(eng.run_partitioned({}, opts), std::invalid_argument);
+  eng.run(workload(2, 100), 2);
+  EXPECT_EQ(eng.merged_records().size(), 100u);
 }
 
 }  // namespace

@@ -22,10 +22,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli_args.h"
 #include "net/topology.h"
 #include "sim/egress_port.h"
 #include "traffic/case_study.h"
@@ -47,19 +47,8 @@ namespace {
   std::exit(2);
 }
 
-double arg_double(int argc, char** argv, const char* name, double dflt) {
-  for (int i = 3; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return dflt;
-}
-
-bool arg_flag(int argc, char** argv, const char* name) {
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
+/// Options follow the kind and the output path.
+constexpr int kFirstOption = 3;
 
 }  // namespace
 
@@ -71,16 +60,16 @@ int run_topology_mode(int argc, char** argv, const std::string& out_prefix,
                       pq::Duration duration) {
   using namespace pq;
   net::LeafSpineParams lsp;
-  lsp.leaves =
-      static_cast<std::uint32_t>(arg_double(argc, argv, "--leaves", 2.0));
-  lsp.spines =
-      static_cast<std::uint32_t>(arg_double(argc, argv, "--spines", 2.0));
-  lsp.hosts_per_leaf =
-      static_cast<std::uint32_t>(arg_double(argc, argv, "--hosts", 2.0));
+  lsp.leaves = static_cast<std::uint32_t>(
+      arg_double(argc, argv, "--leaves", 2.0, kFirstOption));
+  lsp.spines = static_cast<std::uint32_t>(
+      arg_double(argc, argv, "--spines", 2.0, kFirstOption));
+  lsp.hosts_per_leaf = static_cast<std::uint32_t>(
+      arg_double(argc, argv, "--hosts", 2.0, kFirstOption));
   const net::Topology topo = net::make_leaf_spine(lsp);
-  const auto flows_per_host =
-      static_cast<std::uint32_t>(arg_double(argc, argv, "--flows", 4.0));
-  const double gbps = arg_double(argc, argv, "--gbps", 0.5);
+  const auto flows_per_host = static_cast<std::uint32_t>(
+      arg_double(argc, argv, "--flows", 4.0, kFirstOption));
+  const double gbps = arg_double(argc, argv, "--gbps", 0.5, kFirstOption);
 
   for (const net::HostConfig& src : topo.hosts) {
     std::vector<wire::TelemetryRecord> records;
@@ -134,9 +123,9 @@ int main(int argc, char** argv) {
   if (argc < 3) usage();
   const std::string kind = argv[1];
   const std::string out_path = argv[2];
-  const double ms = arg_double(argc, argv, "--ms", 30.0);
-  const auto seed =
-      static_cast<std::uint64_t>(arg_double(argc, argv, "--seed", 1.0));
+  const double ms = arg_double(argc, argv, "--ms", 30.0, kFirstOption);
+  const auto seed = static_cast<std::uint64_t>(
+      arg_double(argc, argv, "--seed", 1.0, kFirstOption));
   const auto duration = static_cast<Duration>(ms * 1e6);
 
   if (kind == "topology") {
@@ -144,9 +133,10 @@ int main(int argc, char** argv) {
   }
 
   sim::PortConfig port_cfg;
-  port_cfg.line_rate_gbps = arg_double(argc, argv, "--rate", 10.0);
+  port_cfg.line_rate_gbps =
+      arg_double(argc, argv, "--rate", 10.0, kFirstOption);
   port_cfg.capacity_cells = static_cast<std::uint32_t>(
-      arg_double(argc, argv, "--buffer", 25000.0));
+      arg_double(argc, argv, "--buffer", 25000.0, kFirstOption));
   sim::EgressPort port(port_cfg);
 
   if (kind == "uw" || kind == "ws" || kind == "dm") {
@@ -177,13 +167,14 @@ int main(int argc, char** argv) {
   }
 
   std::vector<wire::TelemetryRecord> records = port.records();
-  const double port_override = arg_double(argc, argv, "--port", -1.0);
+  const double port_override =
+      arg_double(argc, argv, "--port", -1.0, kFirstOption);
   if (port_override >= 0.0) {
     for (auto& r : records) {
       r.egress_port = static_cast<std::uint32_t>(port_override);
     }
   }
-  if (arg_flag(argc, argv, "--stream")) {
+  if (arg_flag(argc, argv, "--stream", kFirstOption)) {
     wire::write_stream_file(out_path, records);
   } else {
     wire::write_trace_file(out_path, records);

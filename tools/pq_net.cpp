@@ -16,10 +16,10 @@
 //   pq_net topo-dump [--topology ...]   # print the resolved topology JSON
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
+#include "common/cli_args.h"
 #include "net/network_analysis.h"
 #include "net/network_engine.h"
 #include "net/topology.h"
@@ -38,41 +38,31 @@ namespace {
   std::exit(2);
 }
 
-double arg_double(int argc, char** argv, const char* name, double dflt) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return dflt;
-}
-
-const char* arg_str(int argc, char** argv, const char* name,
-                    const char* dflt) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return dflt;
-}
+/// Options follow the mode.
+constexpr int kFirstOption = 2;
 
 pq::net::Topology resolve_topology(int argc, char** argv,
                                    const std::string& mode) {
   using namespace pq;
-  const std::string spec = arg_str(argc, argv, "--topology", "leafspine");
+  const std::string spec =
+      arg_str(argc, argv, "--topology", "leafspine", kFirstOption);
   if (spec == "leafspine") {
     // ecmp needs spine fan-out and a rack wide enough that the loaded
     // uplink (not the receiver downlinks) stays the bottleneck.
     const bool ecmp = mode == "ecmp";
     net::LeafSpineParams p;
-    p.leaves =
-        static_cast<std::uint32_t>(arg_double(argc, argv, "--leaves", 2.0));
+    p.leaves = static_cast<std::uint32_t>(
+        arg_double(argc, argv, "--leaves", 2.0, kFirstOption));
     p.spines = static_cast<std::uint32_t>(
-        arg_double(argc, argv, "--spines", ecmp ? 2.0 : 1.0));
+        arg_double(argc, argv, "--spines", ecmp ? 2.0 : 1.0, kFirstOption));
     p.hosts_per_leaf = static_cast<std::uint32_t>(
-        arg_double(argc, argv, "--hosts", ecmp ? 8.0 : 4.0));
+        arg_double(argc, argv, "--hosts", ecmp ? 8.0 : 4.0, kFirstOption));
     return net::make_leaf_spine(p);
   }
   if (spec == "fattree") {
     net::FatTreeParams p;
-    p.k = static_cast<std::uint32_t>(arg_double(argc, argv, "--k", 4.0));
+    p.k = static_cast<std::uint32_t>(
+        arg_double(argc, argv, "--k", 4.0, kFirstOption));
     return net::make_fat_tree(p);
   }
   return net::load_topology_file(spec);
@@ -98,19 +88,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto seed =
-      static_cast<std::uint64_t>(arg_double(argc, argv, "--seed", 1.0));
-  const auto duration =
-      static_cast<Duration>(arg_double(argc, argv, "--ms", 4.0) * 1e6);
+  const auto seed = static_cast<std::uint64_t>(
+      arg_double(argc, argv, "--seed", 1.0, kFirstOption));
+  const auto duration = static_cast<Duration>(
+      arg_double(argc, argv, "--ms", 4.0, kFirstOption) * 1e6);
 
   traffic::NetScenario sc;
   try {
     if (mode == "incast") {
       traffic::CrossRackIncastConfig cfg;
       cfg.receiver_host = 0;
-      cfg.senders =
-          static_cast<std::uint32_t>(arg_double(argc, argv, "--senders", 6.0));
-      cfg.sender_gbps = arg_double(argc, argv, "--gbps", 2.0);
+      cfg.senders = static_cast<std::uint32_t>(
+          arg_double(argc, argv, "--senders", 6.0, kFirstOption));
+      cfg.sender_gbps = arg_double(argc, argv, "--gbps", 2.0, kFirstOption);
       cfg.duration_ns = duration;
       cfg.seed = seed;
       sc = traffic::cross_rack_incast(topo, cfg);
@@ -118,9 +108,9 @@ int main(int argc, char** argv) {
       traffic::EcmpImbalanceConfig cfg;
       cfg.src_host = 0;
       cfg.dst_host = static_cast<std::uint32_t>(topo.hosts.size() - 1);
-      cfg.flows =
-          static_cast<std::uint32_t>(arg_double(argc, argv, "--senders", 10.0));
-      cfg.flow_gbps = arg_double(argc, argv, "--gbps", 4.5);
+      cfg.flows = static_cast<std::uint32_t>(
+          arg_double(argc, argv, "--senders", 10.0, kFirstOption));
+      cfg.flow_gbps = arg_double(argc, argv, "--gbps", 4.5, kFirstOption);
       cfg.duration_ns = duration;
       cfg.seed = seed;
       sc = traffic::ecmp_imbalance(topo, cfg);
@@ -143,12 +133,14 @@ int main(int argc, char** argv) {
 
   net::NetworkEngine net(ncfg);
   net.run(std::move(sc.injections),
-          static_cast<unsigned>(arg_double(argc, argv, "--threads", 1.0)),
-          static_cast<std::uint32_t>(arg_double(argc, argv, "--batch", 1.0)));
+          static_cast<unsigned>(
+              arg_double(argc, argv, "--threads", 1.0, kFirstOption)),
+          static_cast<std::uint32_t>(
+              arg_double(argc, argv, "--batch", 1.0, kFirstOption)));
 
   net::NetworkAnalysis analysis(net);
-  const auto top_k =
-      static_cast<std::size_t>(arg_double(argc, argv, "--top-k", 5.0));
+  const auto top_k = static_cast<std::size_t>(
+      arg_double(argc, argv, "--top-k", 5.0, kFirstOption));
   net::AttributionReport report;
   try {
     report = analysis.attribute(sc.victim, top_k);
@@ -158,7 +150,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string json = net::to_json(report, net.stats());
-  const char* out = arg_str(argc, argv, "--out", nullptr);
+  const char* out = arg_str(argc, argv, "--out", nullptr, kFirstOption);
   if (out != nullptr) {
     std::ofstream f(out);
     f << json;

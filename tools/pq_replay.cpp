@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli_args.h"
 #include "common/simd/dispatch.h"
 #include "common/thread_pin.h"
 #include "control/metrics_export.h"
@@ -41,32 +42,14 @@
 #include "control/sharded_analysis.h"
 #include "ground/ground_truth.h"
 #include "ground/metrics.h"
+#include "serve/supervisor.h"
 #include "store/archive.h"
 #include "wire/trace_io.h"
 
 namespace {
 
-double arg_double(int argc, char** argv, const char* name, double dflt) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return dflt;
-}
-
-bool arg_flag(int argc, char** argv, const char* name) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-const char* arg_str(int argc, char** argv, const char* name,
-                    const char* dflt) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return dflt;
-}
+/// Options follow the trace path.
+constexpr int kFirstOption = 2;
 
 void print_counts(const char* title, const pq::core::FlowCounts& counts,
                   std::size_t top) {
@@ -76,38 +59,22 @@ void print_counts(const char* title, const pq::core::FlowCounts& counts,
   }
 }
 
-pq::sim::EgressContext to_context(const pq::wire::TelemetryRecord& r) {
-  pq::sim::EgressContext ctx;
-  ctx.flow = r.flow;
-  ctx.egress_port = r.egress_port;
-  ctx.size_bytes = r.size_bytes;
-  ctx.packet_cells =
-      static_cast<std::uint16_t>(pq::bytes_to_cells(r.size_bytes));
-  ctx.enq_qdepth = r.enq_qdepth;
-  ctx.enq_timestamp = r.enq_timestamp;
-  ctx.deq_timedelta = r.deq_timedelta;
-  ctx.packet_id = r.packet_id;
-  return ctx;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace pq;
   // SIMD dispatch resolves before any engine object exists; --print-simd is
   // a bare probe (no trace needed), so it is handled ahead of usage checks.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--print-simd") == 0) {
-      std::printf("compiled: scalar%s\n",
-                  simd::compiled(simd::Level::kAvx2) ? " avx2" : "");
-      std::printf("cpu: %s\n", simd::cpu_supports(simd::Level::kAvx2)
-                                    ? "avx2"
-                                    : "scalar");
-      std::printf("landed: %s\n", simd::to_string(simd::configure()));
-      return 0;
-    }
+  if (arg_flag(argc, argv, "--print-simd")) {
+    std::printf("compiled: scalar%s\n",
+                simd::compiled(simd::Level::kAvx2) ? " avx2" : "");
+    std::printf("cpu: %s\n",
+                simd::cpu_supports(simd::Level::kAvx2) ? "avx2" : "scalar");
+    std::printf("landed: %s\n", simd::to_string(simd::configure()));
+    return 0;
   }
-  if (const char* req = arg_str(argc, argv, "--simd", nullptr)) {
+  if (const char* req =
+          arg_str(argc, argv, "--simd", nullptr, kFirstOption)) {
     const auto parsed = simd::parse_request(req);
     if (!parsed) {
       std::fprintf(stderr, "unknown --simd '%s' (auto|avx2|scalar)\n", req);
@@ -142,13 +109,13 @@ int main(int argc, char** argv) {
 
   core::PipelineConfig cfg;
   cfg.windows.m0 = static_cast<std::uint32_t>(
-      arg_double(argc, argv, "--m0", 6));
+      arg_double(argc, argv, "--m0", 6, kFirstOption));
   cfg.windows.alpha = static_cast<std::uint32_t>(
-      arg_double(argc, argv, "--alpha", 2));
-  cfg.windows.k =
-      static_cast<std::uint32_t>(arg_double(argc, argv, "--k", 12));
-  cfg.windows.num_windows =
-      static_cast<std::uint32_t>(arg_double(argc, argv, "--T", 4));
+      arg_double(argc, argv, "--alpha", 2, kFirstOption));
+  cfg.windows.k = static_cast<std::uint32_t>(
+      arg_double(argc, argv, "--k", 12, kFirstOption));
+  cfg.windows.num_windows = static_cast<std::uint32_t>(
+      arg_double(argc, argv, "--T", 4, kFirstOption));
   std::uint32_t max_depth = 0;
   for (const auto& r : records) {
     max_depth = std::max(max_depth, r.enq_qdepth + bytes_to_cells(r.size_bytes));
@@ -167,22 +134,24 @@ int main(int argc, char** argv) {
   }
 
   control::AnalysisConfig acfg;
-  acfg.salvage_stale_cells = arg_flag(argc, argv, "--salvage");
+  acfg.salvage_stale_cells = arg_flag(argc, argv, "--salvage", kFirstOption);
   control::ShardedAnalysis analysis(pipeline, acfg);
 
   // Durable telemetry archive: one writer per shard, installed as the
   // shard program's sink before any packet is replayed.
   std::optional<store::Archive> archive;
-  if (const char* dir = arg_str(argc, argv, "--archive-dir", nullptr)) {
+  if (const char* dir =
+          arg_str(argc, argv, "--archive-dir", nullptr, kFirstOption)) {
     store::ArchiveOptions aopts;
     aopts.dir = dir;
     aopts.segment_bytes = static_cast<std::uint64_t>(arg_double(
         argc, argv, "--archive-segment-bytes",
-        static_cast<double>(aopts.segment_bytes)));
+        static_cast<double>(aopts.segment_bytes), kFirstOption));
     aopts.format_version = static_cast<std::uint16_t>(arg_double(
         argc, argv, "--archive-format",
-        static_cast<double>(aopts.format_version)));
-    const char* fsync = arg_str(argc, argv, "--archive-fsync", "none");
+        static_cast<double>(aopts.format_version), kFirstOption));
+    const char* fsync =
+        arg_str(argc, argv, "--archive-fsync", "none", kFirstOption);
     if (std::strcmp(fsync, "block") == 0) {
       aopts.fsync = store::FsyncPolicy::kPerBlock;
     } else if (std::strcmp(fsync, "segment") == 0) {
@@ -203,10 +172,12 @@ int main(int argc, char** argv) {
   }
 
   const auto threads = std::max(
-      1u, static_cast<unsigned>(arg_double(argc, argv, "--threads", 1)));
+      1u, static_cast<unsigned>(
+              arg_double(argc, argv, "--threads", 1, kFirstOption)));
   const auto batch = std::max(
-      1u, static_cast<unsigned>(arg_double(argc, argv, "--batch", 256)));
-  const bool pin_threads = arg_flag(argc, argv, "--pin-threads");
+      1u, static_cast<unsigned>(
+              arg_double(argc, argv, "--batch", 256, kFirstOption)));
+  const bool pin_threads = arg_flag(argc, argv, "--pin-threads", kFirstOption);
   const unsigned workers = std::min<unsigned>(
       threads, static_cast<unsigned>(pipeline.num_shards()));
   std::vector<int> worker_cpus(workers, -1);
@@ -215,24 +186,11 @@ int main(int argc, char** argv) {
     if (pin_threads) {
       worker_cpus[worker_index] = pin_current_thread(worker_index);
     }
+    sim::PacketBatch scratch;
     for (std::uint32_t s = next.fetch_add(1); s < pipeline.num_shards();
          s = next.fetch_add(1)) {
-      auto& shard = pipeline.shard(s);
-      if (batch <= 1) {
-        // The scalar oracle path: one on_egress per record.
-        for (const auto& r : shard_records[s]) shard.on_egress(to_context(r));
-      } else {
-        sim::PacketBatch pb;
-        pb.reserve(batch);
-        for (const auto& r : shard_records[s]) {
-          pb.push(to_context(r));
-          if (pb.size() >= batch) {
-            shard.on_egress_batch(pb);
-            pb.clear();
-          }
-        }
-        if (!pb.empty()) shard.on_egress_batch(pb);
-      }
+      serve::replay_records(shard_records[s], pipeline.shard(s), batch,
+                            scratch);
       analysis.program(s).finalize(
           shard_records[s].back().deq_timestamp() + 1);
     }
@@ -256,12 +214,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.bytes_appended),
                 static_cast<unsigned long long>(s.segments_closed),
                 s.segments_closed == 1 ? "" : "s",
-                arg_str(argc, argv, "--archive-dir", ""),
+                arg_str(argc, argv, "--archive-dir", "", kFirstOption),
                 static_cast<unsigned long long>(s.blocks_dropped));
   }
 
   // Victim selection.
-  const char* victim_arg = arg_str(argc, argv, "--victim", "worst");
+  const char* victim_arg =
+      arg_str(argc, argv, "--victim", "worst", kFirstOption);
   const wire::TelemetryRecord* victim = nullptr;
   if (std::strcmp(victim_arg, "worst") == 0) {
     for (const auto& r : records) {
@@ -282,7 +241,8 @@ int main(int argc, char** argv) {
   const std::uint32_t egress_port = victim->egress_port;
   const auto prefix = *pipeline.port_prefix(egress_port);
 
-  if (const char* out = arg_str(argc, argv, "--save-records", nullptr)) {
+  if (const char* out =
+          arg_str(argc, argv, "--save-records", nullptr, kFirstOption)) {
     control::write_records_file(
         out, control::collect_records(pipeline.shard(prefix).pipeline(),
                                       analysis.program(prefix)));
@@ -292,8 +252,8 @@ int main(int argc, char** argv) {
   // Ground truth for accuracy is the victim port's own queue.
   ground::GroundTruth port_truth(shard_records[prefix]);
 
-  const auto top =
-      static_cast<std::size_t>(arg_double(argc, argv, "--top", 8));
+  const auto top = static_cast<std::size_t>(
+      arg_double(argc, argv, "--top", 8, kFirstOption));
   std::printf("simd: %s (requested %s)\n",
               simd::to_string(simd::active_level()),
               simd::to_string(simd::active_request()));
@@ -332,8 +292,10 @@ int main(int argc, char** argv) {
 
   // Serialize the run's metrics last so the query-latency histogram covers
   // every query issued above.
-  const char* metrics_json = arg_str(argc, argv, "--metrics-out", nullptr);
-  const char* metrics_prom = arg_str(argc, argv, "--metrics-prom", nullptr);
+  const char* metrics_json =
+      arg_str(argc, argv, "--metrics-out", nullptr, kFirstOption);
+  const char* metrics_prom =
+      arg_str(argc, argv, "--metrics-prom", nullptr, kFirstOption);
   if (metrics_json != nullptr || metrics_prom != nullptr) {
     auto metrics = control::collect_replay_metrics(pipeline, analysis);
     if (archive) store::export_writer_metrics(metrics, archive->stats());

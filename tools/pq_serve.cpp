@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli_args.h"
 #include "common/simd/dispatch.h"
 #include "serve/daemon.h"
 #include "serve/fault_config.h"
@@ -44,28 +45,6 @@ std::atomic<bool> g_stop{false};
 
 void on_signal(int) {
   if (g_stop.exchange(true)) std::_Exit(130);  // second signal: hard abort
-}
-
-double arg_double(int argc, char** argv, const char* name, double dflt) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return dflt;
-}
-
-bool arg_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-const char* arg_str(int argc, char** argv, const char* name,
-                    const char* dflt) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return dflt;
 }
 
 std::vector<std::uint32_t> parse_ports(const char* list) {
