@@ -26,9 +26,8 @@
 //
 // Results land in BENCH_perf_smoke.json (flat, comparator-friendly; see
 // tools/check_bench_regression.py) and the run's full metric registry in
-// metrics.json. Wall-clock sampling uses std::chrono directly so the bench
-// measures identically in PQ_METRICS=ON and OFF builds — that is what makes
-// the "instrumentation is within noise" acceptance check meaningful.
+// metrics.json. Wall-clock sampling uses std::chrono directly, independent
+// of the pq::obs instrumentation it measures.
 //
 // Usage: perf_smoke [--threads N] [--ports P] [--ms D] [--batch N]
 //                   [--simd auto|avx2|scalar]

@@ -40,45 +40,17 @@ void AnalysisProgram::on_time(Timestamp now) {
   }
 }
 
-bool AnalysisProgram::read_window_verified(std::uint32_t bank,
-                                           std::uint32_t port,
-                                           WindowSnapshot& out) {
+template <typename Banks, typename Snapshot, typename FaultHook>
+bool AnalysisProgram::read_verified(const Banks& banks, std::uint32_t bank,
+                                    std::uint32_t part, FaultHook fault,
+                                    Snapshot& out) {
   Duration backoff = cfg_.read_backoff_ns;
   for (std::uint32_t attempt = 0; attempt <= cfg_.max_read_retries;
        ++attempt) {
-    const std::uint64_t before = pipe_.windows().rotation_epoch();
-    core::WindowState state = pipe_.windows().read_bank(bank, port);
-    std::uint64_t after = pipe_.windows().rotation_epoch();
-    if (read_faults_ != nullptr) {
-      after += read_faults_->on_window_read(port, state);
-    }
-    if (before == after) {
-      out.epoch = before;
-      out.state = std::move(state);
-      return true;
-    }
-    ++health_.torn_reads_detected;
-    if (attempt < cfg_.max_read_retries) {
-      ++health_.torn_read_retries;
-      health_.backoff_ns_spent += backoff;
-      backoff = std::min(backoff * 2, cfg_.read_backoff_max_ns);
-    }
-  }
-  return false;
-}
-
-bool AnalysisProgram::read_monitor_verified(std::uint32_t bank,
-                                            std::uint32_t part,
-                                            MonitorSnapshot& out) {
-  Duration backoff = cfg_.read_backoff_ns;
-  for (std::uint32_t attempt = 0; attempt <= cfg_.max_read_retries;
-       ++attempt) {
-    const std::uint64_t before = pipe_.monitor().rotation_epoch();
-    core::MonitorState state = pipe_.monitor().read_bank(bank, part);
-    std::uint64_t after = pipe_.monitor().rotation_epoch();
-    if (read_faults_ != nullptr) {
-      after += read_faults_->on_monitor_read(part, state);
-    }
+    const std::uint64_t before = banks.rotation_epoch();
+    auto state = banks.read_bank(bank, part);
+    std::uint64_t after = banks.rotation_epoch();
+    if (read_faults_ != nullptr) after += fault(part, state);
     if (before == after) {
       out.epoch = before;
       out.state = std::move(state);
@@ -102,7 +74,11 @@ void AnalysisProgram::poll(Timestamp now) {
   for (std::uint32_t port = 0; port < window_snaps_.size(); ++port) {
     WindowSnapshot snap;
     snap.taken_at = now;
-    if (read_window_verified(wbank, port, snap)) {
+    if (read_verified(pipe_.windows(), wbank, port,
+                      [this](std::uint32_t p, core::WindowState& st) {
+                        return read_faults_->on_window_read(p, st);
+                      },
+                      snap)) {
       window_snaps_[port].push_back(std::move(snap));
       if (sink_ != nullptr) {
         sink_->on_window_snapshot(port, window_snaps_[port].back());
@@ -120,7 +96,11 @@ void AnalysisProgram::poll(Timestamp now) {
   for (std::uint32_t part = 0; part < monitor_snaps_.size(); ++part) {
     MonitorSnapshot snap;
     snap.taken_at = now;
-    if (read_monitor_verified(mbank, part, snap)) {
+    if (read_verified(pipe_.monitor(), mbank, part,
+                      [this](std::uint32_t p, core::MonitorState& st) {
+                        return read_faults_->on_monitor_read(p, st);
+                      },
+                      snap)) {
       monitor_snaps_[part].push_back(std::move(snap));
       if (sink_ != nullptr) {
         sink_->on_monitor_snapshot(part, monitor_snaps_[part].back());
@@ -184,18 +164,24 @@ core::FlowCounts AnalysisProgram::query_time_windows(
   return query_time_windows_detail(port_prefix, t1, t2).counts;
 }
 
-AnalysisProgram::IntervalAnswer AnalysisProgram::query_time_windows_detail(
+IntervalAnswer AnalysisProgram::query_time_windows_detail(
     std::uint32_t port_prefix, Timestamp t1, Timestamp t2) const {
+  return walk_checkpoints(window_snaps_.at(port_prefix),
+                          pipe_.windows().layout(), coefficients(port_prefix),
+                          cfg_.salvage_stale_cells, t1, t2);
+}
+
+IntervalAnswer walk_checkpoints(std::span<const WindowSnapshot> snaps,
+                                const core::TtsLayout& layout,
+                                const core::CoefficientTable& coeffs,
+                                bool salvage_stale_cells, Timestamp t1,
+                                Timestamp t2) {
   IntervalAnswer answer;
-  const auto& snaps = window_snaps_.at(port_prefix);
   if (t2 <= t1) {
     answer.coverage = 1.0;  // an empty span is trivially covered
     return answer;
   }
   if (snaps.empty()) return answer;
-
-  const auto& layout = pipe_.windows().layout();
-  const auto coeffs = coefficients(port_prefix);
   const Duration t_set = layout.set_period_ns();
 
   // First snapshot that still contains data up to t2 (taken at or after t2);
@@ -211,7 +197,7 @@ AnalysisProgram::IntervalAnswer AnalysisProgram::query_time_windows_detail(
   // Walk backwards through checkpoints, each contributing the piece of the
   // interval it covers most recently (no double counting). `covered_ns`
   // sums the pieces a consistent checkpoint actually backs; the shortfall
-  // is history lost to slow polling or abandoned torn reads.
+  // is history lost to slow polling, abandoned torn reads or retention.
   Duration covered_ns = 0;
   Timestamp remaining_hi = t2;
   for (std::size_t i = idx + 1; i-- > 0 && remaining_hi > t1;) {
@@ -225,7 +211,7 @@ AnalysisProgram::IntervalAnswer AnalysisProgram::query_time_windows_detail(
       continue;
     }
     const auto filtered = core::filter_stale_cells(
-        snap.state, layout, cfg_.salvage_stale_cells, snap.taken_at);
+        snap.state, layout, salvage_stale_cells, snap.taken_at);
     core::merge_counts(
         answer.counts,
         core::estimate_flow_counts(filtered, layout, coeffs, qlo, qhi));
@@ -242,19 +228,12 @@ std::vector<core::OriginalCulprit> AnalysisProgram::query_queue_monitor(
   return query_queue_monitor_detail(port_prefix, t).culprits;
 }
 
-AnalysisProgram::MonitorAnswer AnalysisProgram::query_queue_monitor_detail(
+MonitorAnswer AnalysisProgram::query_queue_monitor_detail(
     std::uint32_t port_prefix, Timestamp t) const {
   MonitorAnswer answer;
-  const auto& snaps = monitor_snaps_.at(port_prefix);
-  if (snaps.empty()) return answer;
-  // The snapshot closest in time to the query point.
-  const MonitorSnapshot* best = &snaps.front();
-  for (const auto& s : snaps) {
-    const auto dist = s.taken_at > t ? s.taken_at - t : t - s.taken_at;
-    const auto best_dist =
-        best->taken_at > t ? best->taken_at - t : t - best->taken_at;
-    if (dist < best_dist) best = &s;
-  }
+  const MonitorSnapshot* best =
+      nearest_snapshot(monitor_snaps_.at(port_prefix), t);
+  if (best == nullptr) return answer;
   answer.culprits = core::original_culprits(best->state);
   const Duration dist =
       best->taken_at > t ? best->taken_at - t : t - best->taken_at;
@@ -263,6 +242,19 @@ AnalysisProgram::MonitorAnswer AnalysisProgram::query_queue_monitor_detail(
                           : static_cast<double>(poll_period_) /
                                 static_cast<double>(dist);
   return answer;
+}
+
+const MonitorSnapshot* nearest_snapshot(
+    std::span<const MonitorSnapshot> snaps, Timestamp t) {
+  if (snaps.empty()) return nullptr;
+  const MonitorSnapshot* best = &snaps.front();
+  for (const auto& s : snaps) {
+    const auto dist = s.taken_at > t ? s.taken_at - t : t - s.taken_at;
+    const auto best_dist =
+        best->taken_at > t ? best->taken_at - t : t - best->taken_at;
+    if (dist < best_dist) best = &s;
+  }
+  return best;
 }
 
 const std::vector<DqCapture>& AnalysisProgram::dq_captures(

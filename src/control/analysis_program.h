@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "control/health.h"
@@ -63,6 +64,41 @@ struct AnalysisConfig {
   Duration read_backoff_max_ns = 1'000'000;
 };
 
+/// A time-window answer with its provenance: `coverage` is the fraction of
+/// the requested span actually backed by consistent checkpoints. Coverage
+/// below 1 means history was lost (slow polling, abandoned torn reads,
+/// retention, queries beyond the recorded horizon) — the counts that *are*
+/// returned are still genuine.
+struct IntervalAnswer {
+  core::FlowCounts counts;
+  double coverage = 0.0;
+};
+
+/// A point-in-time monitor answer; `confidence` decays with the distance
+/// between the query instant and the nearest consistent snapshot (1.0
+/// when within one poll period).
+struct MonitorAnswer {
+  std::vector<core::OriginalCulprit> culprits;
+  double confidence = 0.0;
+};
+
+/// The checkpoint walk behind every time-window answer — live, offline,
+/// archive and recovered (ARCHITECTURE.md §3 step 1). Starts at the
+/// earliest snapshot taken at or after t2 (else the newest), then steps
+/// backwards; each snapshot contributes the piece of [t1, t2) inside
+/// [taken_at - t_set, taken_at) that no later snapshot already covered, so
+/// nothing is counted twice. `snaps` must be in taking order.
+IntervalAnswer walk_checkpoints(std::span<const WindowSnapshot> snaps,
+                                const core::TtsLayout& layout,
+                                const core::CoefficientTable& coeffs,
+                                bool salvage_stale_cells, Timestamp t1,
+                                Timestamp t2);
+
+/// The snapshot taken closest to `t` (the earliest of equally close ones),
+/// or nullptr when there is none.
+const MonitorSnapshot* nearest_snapshot(
+    std::span<const MonitorSnapshot> snaps, Timestamp t);
+
 class AnalysisProgram final : public core::PipelineObserver {
  public:
   /// Attaches to a pipeline (registers itself as the observer).
@@ -97,23 +133,8 @@ class AnalysisProgram final : public core::PipelineObserver {
 
   // --- Asynchronous queries (Section 6.3) ---
 
-  /// A query answer with its provenance: `coverage` is the fraction of the
-  /// requested span actually backed by consistent checkpoints. Coverage
-  /// below 1 means history was lost (slow polling, abandoned torn reads,
-  /// queries beyond the recorded horizon) — the counts that *are* returned
-  /// are still genuine.
-  struct IntervalAnswer {
-    core::FlowCounts counts;
-    double coverage = 0.0;
-  };
-
-  /// A point-in-time monitor answer; `confidence` decays with the distance
-  /// between the query instant and the nearest consistent snapshot (1.0
-  /// when within one poll period).
-  struct MonitorAnswer {
-    std::vector<core::OriginalCulprit> culprits;
-    double confidence = 0.0;
-  };
+  using IntervalAnswer = control::IntervalAnswer;
+  using MonitorAnswer = control::MonitorAnswer;
 
   /// Per-flow packet-count estimate for packets dequeued on `port_prefix`
   /// within [t1, t2). Splits the interval across checkpoints and windows and
@@ -168,16 +189,14 @@ class AnalysisProgram final : public core::PipelineObserver {
   std::uint64_t bytes_polled() const { return bytes_polled_; }
 
   /// Wall-clock latency of each poll (checkpoint read) — a timing metric,
-  /// excluded from the cross-thread determinism contract. Empty in a
-  /// PQ_METRICS=OFF build.
+  /// excluded from the cross-thread determinism contract.
   const obs::Histogram& poll_latency_ns() const { return poll_ns_; }
 
  private:
   void poll(Timestamp now);
-  bool read_window_verified(std::uint32_t bank, std::uint32_t port,
-                            WindowSnapshot& out);
-  bool read_monitor_verified(std::uint32_t bank, std::uint32_t part,
-                             MonitorSnapshot& out);
+  template <typename Banks, typename Snapshot, typename FaultHook>
+  bool read_verified(const Banks& banks, std::uint32_t bank,
+                     std::uint32_t part, FaultHook fault, Snapshot& out);
 
   core::PrintQueuePipeline& pipe_;
   AnalysisConfig cfg_;

@@ -1,7 +1,6 @@
 #include "control/query_service.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/hash.h"
 #include "wire/bytes.h"
@@ -14,39 +13,6 @@ constexpr std::size_t kFlowBytes = 13;
 constexpr std::size_t kRequestBytes = 4 + 1 + 4 + 8 + 8 + 8 + 4;
 constexpr std::size_t kResponseHeaderBytes = 4 + 1 + 1 + 8 + 8 + 4;
 constexpr std::size_t kCrcBytes = 4;
-constexpr double kFullConfidence = 1.0 - 1e-9;
-
-void put_flow(std::vector<std::uint8_t>& buf, const FlowId& f) {
-  wire::put_u32(buf, f.src_ip);
-  wire::put_u32(buf, f.dst_ip);
-  wire::put_u16(buf, f.src_port);
-  wire::put_u16(buf, f.dst_port);
-  wire::put_u8(buf, f.proto);
-}
-
-FlowId get_flow(wire::ByteReader& r) {
-  FlowId f;
-  f.src_ip = r.u32();
-  f.dst_ip = r.u32();
-  f.src_port = r.u16();
-  f.dst_port = r.u16();
-  f.proto = r.u8();
-  return f;
-}
-
-void put_f64(std::vector<std::uint8_t>& buf, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  wire::put_u64(buf, bits);
-}
-
-double get_f64(wire::ByteReader& r) {
-  const std::uint64_t bits = r.u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
 
 void append_crc(std::vector<std::uint8_t>& buf) {
   wire::put_u32(buf, crc32(buf.data(), buf.size()));
@@ -83,17 +49,17 @@ std::vector<std::uint8_t> encode_response(const QueryResponse& resp) {
   wire::put_u8(buf, static_cast<std::uint8_t>(resp.type));
   wire::put_u8(buf, static_cast<std::uint8_t>(resp.status));
   wire::put_u64(buf, resp.request_id);
-  put_f64(buf, resp.confidence);
+  wire::put_f64(buf, resp.confidence);
   if (resp.type == QueryType::kTimeWindows) {
     wire::put_u32(buf, static_cast<std::uint32_t>(resp.counts.size()));
     for (const auto& [flow, n] : resp.counts) {
-      put_flow(buf, flow);
-      put_f64(buf, n);
+      wire::put_flow(buf, flow);
+      wire::put_f64(buf, n);
     }
   } else {
     wire::put_u32(buf, static_cast<std::uint32_t>(resp.culprits.size()));
     for (const auto& c : resp.culprits) {
-      put_flow(buf, c.flow);
+      wire::put_flow(buf, c.flow);
       wire::put_u32(buf, c.level);
       wire::put_u64(buf, c.seq);
     }
@@ -130,7 +96,7 @@ QueryResponse decode_response(std::span<const std::uint8_t> buf) {
   const auto type = static_cast<QueryType>(r.u8());
   const auto status = static_cast<QueryStatus>(r.u8());
   const std::uint64_t request_id = r.u64();
-  const double confidence = get_f64(r);
+  const double confidence = wire::get_f64(r);
   const std::uint32_t n = r.u32();
   if (!r.ok()) return resp;
   if (type != QueryType::kTimeWindows && type != QueryType::kQueueMonitor) {
@@ -156,11 +122,11 @@ QueryResponse decode_response(std::span<const std::uint8_t> buf) {
   if (type == QueryType::kQueueMonitor) resp.culprits.reserve(n);
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     if (type == QueryType::kTimeWindows) {
-      const FlowId flow = get_flow(r);
-      resp.counts[flow] = get_f64(r);
+      const FlowId flow = wire::get_flow(r);
+      resp.counts[flow] = wire::get_f64(r);
     } else {
       core::OriginalCulprit c;
-      c.flow = get_flow(r);
+      c.flow = wire::get_flow(r);
       c.level = r.u32();
       c.seq = r.u64();
       resp.culprits.push_back(c);
@@ -249,10 +215,8 @@ std::vector<std::uint8_t> QueryService::handle(
       ++rejected_;
       return encode_response(resp);
   }
-  if (resp.confidence < kFullConfidence) {
-    resp.status = QueryStatus::kPartial;
-    ++health_.partial_answers;
-  }
+  resp.status = status_for(resp.confidence);
+  if (resp.status == QueryStatus::kPartial) ++health_.partial_answers;
   ++served_;
 
   auto bytes = encode_response(resp);

@@ -52,6 +52,17 @@ enum class QueryStatus : std::uint8_t {
   kPartial = 3,
 };
 
+/// Confidence at or above which an answer counts as fully backed (kOk);
+/// anything below is kPartial.
+inline constexpr double kFullConfidence = 1.0 - 1e-9;
+
+/// The status of an answered query: the one rule every path that answers
+/// one applies.
+inline constexpr QueryStatus status_for(double confidence) {
+  return confidence < kFullConfidence ? QueryStatus::kPartial
+                                      : QueryStatus::kOk;
+}
+
 struct QueryRequest {
   QueryType type = QueryType::kTimeWindows;
   std::uint32_t port_prefix = 0;

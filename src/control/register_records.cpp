@@ -1,12 +1,10 @@
 #include "control/register_records.h"
 
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 
 #include "common/hash.h"
-#include "core/window_filter.h"
 
 namespace pq::control {
 
@@ -46,24 +44,6 @@ void require_ok(const wire::ByteReader& r, const char* what) {
   }
 }
 
-void put_flow(std::vector<std::uint8_t>& buf, const FlowId& f) {
-  wire::put_u32(buf, f.src_ip);
-  wire::put_u32(buf, f.dst_ip);
-  wire::put_u16(buf, f.src_port);
-  wire::put_u16(buf, f.dst_port);
-  wire::put_u8(buf, f.proto);
-}
-
-FlowId get_flow(wire::ByteReader& r) {
-  FlowId f;
-  f.src_ip = r.u32();
-  f.dst_ip = r.u32();
-  f.src_port = r.u16();
-  f.dst_port = r.u16();
-  f.proto = r.u8();
-  return f;
-}
-
 void put_window_state(std::vector<std::uint8_t>& buf,
                       const core::WindowState& state) {
   wire::put_u32(buf, static_cast<std::uint32_t>(state.size()));
@@ -72,7 +52,7 @@ void put_window_state(std::vector<std::uint8_t>& buf,
     for (const auto& cell : window) {
       wire::put_u8(buf, cell.occupied ? 1 : 0);
       if (cell.occupied) {
-        put_flow(buf, cell.flow);
+        wire::put_flow(buf, cell.flow);
         wire::put_u64(buf, cell.cycle_id);
       }
     }
@@ -86,7 +66,7 @@ core::WindowState get_window_state(wire::ByteReader& r) {
     for (auto& cell : window) {
       cell.occupied = r.u8() != 0;
       if (cell.occupied) {
-        cell.flow = get_flow(r);
+        cell.flow = wire::get_flow(r);
         cell.cycle_id = r.u64();
       }
     }
@@ -104,11 +84,11 @@ void put_monitor_state(std::vector<std::uint8_t>& buf,
         (e.inc.valid ? 1 : 0) | (e.dec.valid ? 2 : 0));
     wire::put_u8(buf, flags);
     if (e.inc.valid) {
-      put_flow(buf, e.inc.flow);
+      wire::put_flow(buf, e.inc.flow);
       wire::put_u64(buf, e.inc.seq);
     }
     if (e.dec.valid) {
-      put_flow(buf, e.dec.flow);
+      wire::put_flow(buf, e.dec.flow);
       wire::put_u64(buf, e.dec.seq);
     }
   }
@@ -123,30 +103,17 @@ core::MonitorState get_monitor_state(wire::ByteReader& r) {
     const std::uint8_t flags = r.u8();
     if (flags & 1) {
       e.inc.valid = true;
-      e.inc.flow = get_flow(r);
+      e.inc.flow = wire::get_flow(r);
       e.inc.seq = r.u64();
     }
     if (flags & 2) {
       e.dec.valid = true;
-      e.dec.flow = get_flow(r);
+      e.dec.flow = wire::get_flow(r);
       e.dec.seq = r.u64();
     }
   }
   require_ok(r, "monitor entries");
   return state;
-}
-
-void put_f64(std::vector<std::uint8_t>& buf, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  wire::put_u64(buf, bits);
-}
-
-double get_f64(wire::ByteReader& r) {
-  const std::uint64_t bits = r.u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
 }
 
 }  // namespace
@@ -159,6 +126,7 @@ const char* to_string(RecordsErrorCode code) {
     case RecordsErrorCode::kChecksumMismatch: return "checksum-mismatch";
     case RecordsErrorCode::kOversizedField: return "oversized-field";
     case RecordsErrorCode::kTrailingBytes: return "trailing-bytes";
+    case RecordsErrorCode::kBadLayout: return "bad-layout";
   }
   return "unknown";
 }
@@ -195,6 +163,79 @@ MonitorSnapshot get_monitor_snapshot(wire::ByteReader& r) {
   return snap;
 }
 
+void put_register_layout(std::vector<std::uint8_t>& buf,
+                         const core::TimeWindowParams& params,
+                         std::uint32_t monitor_levels) {
+  wire::put_u32(buf, params.m0);
+  wire::put_u32(buf, params.alpha);
+  wire::put_u32(buf, params.k);
+  wire::put_u32(buf, params.num_windows);
+  wire::put_u32(buf, params.num_ports);
+  wire::put_u8(buf, params.wrap32 ? 1 : 0);
+  wire::put_u32(buf, monitor_levels);
+}
+
+bool get_register_layout(wire::ByteReader& r, core::TimeWindowParams& params,
+                         std::uint32_t& monitor_levels) {
+  params.m0 = r.u32();
+  params.alpha = r.u32();
+  params.k = r.u32();
+  params.num_windows = r.u32();
+  params.num_ports = r.u32();
+  params.wrap32 = r.u8() != 0;
+  monitor_levels = r.u32();
+  return r.ok() && params.range_error() == nullptr;
+}
+
+void put_calibration(std::vector<std::uint8_t>& buf,
+                     const CalibrationRecord& cal) {
+  wire::put_u64(buf, cal.taken_at);
+  put_register_layout(buf, cal.window_params, cal.monitor_levels);
+  wire::put_f64(buf, cal.z0);
+}
+
+bool get_calibration(wire::ByteReader& r, CalibrationRecord& cal) {
+  cal.taken_at = r.u64();
+  const bool layout_ok =
+      get_register_layout(r, cal.window_params, cal.monitor_levels);
+  cal.z0 = wire::get_f64(r);
+  return layout_ok && r.ok();
+}
+
+void put_dq_capture(std::vector<std::uint8_t>& buf, const DqCapture& cap) {
+  const auto& n = cap.notification;
+  wire::put_u32(buf, n.port_prefix);
+  wire::put_flow(buf, n.victim_flow);
+  wire::put_u64(buf, n.enq_timestamp);
+  wire::put_u64(buf, n.deq_timestamp);
+  wire::put_u32(buf, n.enq_qdepth);
+  wire::put_u32(buf, n.window_bank);
+  wire::put_u32(buf, n.monitor_bank);
+  // Each frozen bank in snapshot form: taken_at = capture time, epoch 0 (a
+  // capture freezes the banks, there is no rotation race).
+  wire::put_u64(buf, n.deq_timestamp);
+  wire::put_u64(buf, 0);
+  put_window_state(buf, cap.windows);
+  wire::put_u64(buf, n.deq_timestamp);
+  wire::put_u64(buf, 0);
+  put_monitor_state(buf, cap.monitor);
+}
+
+DqCapture get_dq_capture(wire::ByteReader& r) {
+  DqCapture cap;
+  auto& n = cap.notification;
+  n.port_prefix = r.u32();
+  n.victim_flow = wire::get_flow(r);
+  n.enq_timestamp = r.u64();
+  n.deq_timestamp = r.u64();
+  n.enq_qdepth = r.u32();
+  n.window_bank = r.u32();
+  n.monitor_bank = r.u32();
+  cap.windows = get_window_snapshot(r).state;
+  cap.monitor = get_monitor_snapshot(r).state;
+  return cap;
+}
+
 RegisterRecords collect_records(const core::PrintQueuePipeline& pipeline,
                                 const AnalysisProgram& analysis) {
   RegisterRecords out;
@@ -216,15 +257,8 @@ RegisterRecords collect_records(const core::PrintQueuePipeline& pipeline,
 void write_records(std::ostream& out, const RegisterRecords& records) {
   std::vector<std::uint8_t> buf;
   wire::put_u32(buf, kRecordsMagic);
-  const auto& p = records.window_params;
-  wire::put_u32(buf, p.m0);
-  wire::put_u32(buf, p.alpha);
-  wire::put_u32(buf, p.k);
-  wire::put_u32(buf, p.num_windows);
-  wire::put_u32(buf, p.num_ports);
-  wire::put_u8(buf, p.wrap32 ? 1 : 0);
-  wire::put_u32(buf, records.monitor_levels);
-  put_f64(buf, records.z0);
+  put_register_layout(buf, records.window_params, records.monitor_levels);
+  wire::put_f64(buf, records.z0);
 
   wire::put_u32(buf, static_cast<std::uint32_t>(
                          records.window_snapshots.size()));
@@ -270,15 +304,15 @@ RegisterRecords read_records(std::istream& in) {
     throw RecordsError(RecordsErrorCode::kBadMagic, "bad records magic");
   }
   RegisterRecords out;
-  out.window_params.m0 = r.u32();
-  out.window_params.alpha = r.u32();
-  out.window_params.k = r.u32();
-  out.window_params.num_windows = r.u32();
-  out.window_params.num_ports = r.u32();
-  out.window_params.wrap32 = r.u8() != 0;
-  out.monitor_levels = r.u32();
-  out.z0 = get_f64(r);
+  const bool layout_ok =
+      get_register_layout(r, out.window_params, out.monitor_levels);
+  out.z0 = wire::get_f64(r);
   require_ok(r, "records header");
+  if (!layout_ok) {
+    throw RecordsError(RecordsErrorCode::kBadLayout,
+                       std::string("records carry an unusable layout: ") +
+                           out.window_params.range_error());
+  }
 
   out.window_snapshots.resize(
       checked_count(r, kMinPortListBytes, "window port"));
@@ -322,56 +356,21 @@ RegisterRecords read_records_file(const std::string& path) {
   return read_records(in);
 }
 
-core::FlowCounts offline_query_time_windows(const RegisterRecords& records,
-                                            std::uint32_t port_prefix,
-                                            Timestamp t1, Timestamp t2) {
-  core::FlowCounts counts;
-  const auto& snaps = records.window_snapshots.at(port_prefix);
-  if (snaps.empty() || t2 <= t1) return counts;
-  const core::TtsLayout layout(records.window_params);
-  const auto coeffs = core::CoefficientTable::compute(
-      records.z0, records.window_params.alpha,
-      records.window_params.num_windows);
-  const Duration t_set = layout.set_period_ns();
-
-  std::size_t idx = snaps.size() - 1;
-  for (std::size_t i = 0; i < snaps.size(); ++i) {
-    if (snaps[i].taken_at >= t2) {
-      idx = i;
-      break;
-    }
-  }
-  Timestamp remaining_hi = t2;
-  for (std::size_t i = idx + 1; i-- > 0 && remaining_hi > t1;) {
-    const auto& snap = snaps[i];
-    const Timestamp cover_lo =
-        snap.taken_at > t_set ? snap.taken_at - t_set : 0;
-    const Timestamp qlo = std::max(t1, cover_lo);
-    const Timestamp qhi = std::min(remaining_hi, snap.taken_at);
-    if (qhi <= qlo) {
-      if (snap.taken_at <= t1) break;
-      continue;
-    }
-    const auto filtered = core::filter_stale_cells(snap.state, layout,
-                                                    false, snap.taken_at);
-    core::merge_counts(counts, core::estimate_flow_counts(filtered, layout,
-                                                          coeffs, qlo, qhi));
-    remaining_hi = qlo;
-  }
-  return counts;
+IntervalAnswer offline_query_time_windows(const RegisterRecords& records,
+                                          std::uint32_t port_prefix,
+                                          Timestamp t1, Timestamp t2) {
+  const auto& p = records.window_params;
+  return walk_checkpoints(
+      records.window_snapshots.at(port_prefix), core::TtsLayout(p),
+      core::CoefficientTable::compute(records.z0, p.alpha, p.num_windows),
+      /*salvage_stale_cells=*/false, t1, t2);
 }
 
 std::vector<core::OriginalCulprit> offline_query_queue_monitor(
     const RegisterRecords& records, std::uint32_t port_prefix, Timestamp t) {
-  const auto& snaps = records.monitor_snapshots.at(port_prefix);
-  if (snaps.empty()) return {};
-  const MonitorSnapshot* best = &snaps.front();
-  for (const auto& s : snaps) {
-    const auto dist = s.taken_at > t ? s.taken_at - t : t - s.taken_at;
-    const auto best_dist =
-        best->taken_at > t ? best->taken_at - t : t - best->taken_at;
-    if (dist < best_dist) best = &s;
-  }
+  const MonitorSnapshot* best =
+      nearest_snapshot(records.monitor_snapshots.at(port_prefix), t);
+  if (best == nullptr) return {};
   return core::original_culprits(best->state);
 }
 

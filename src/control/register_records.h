@@ -13,6 +13,7 @@
 
 #include "control/analysis_program.h"
 #include "control/snapshots.h"
+#include "control/telemetry_sink.h"
 #include "wire/bytes.h"
 
 namespace pq::control {
@@ -30,6 +31,7 @@ enum class RecordsErrorCode : std::uint8_t {
   kChecksumMismatch,  ///< trailing checksum does not cover the payload
   kOversizedField,    ///< a count/length field exceeds the remaining bytes
   kTrailingBytes,     ///< well-formed payload followed by unconsumed bytes
+  kBadLayout,         ///< layout parameters core::TtsLayout rejects
 };
 
 const char* to_string(RecordsErrorCode code);
@@ -46,13 +48,16 @@ class RecordsError : public std::runtime_error {
   RecordsErrorCode code_;
 };
 
-// --- Snapshot codec -------------------------------------------------------
-// The per-snapshot byte encoding, shared between the one-shot records bundle
-// below and pq::store's segmented archive blocks (both must serialize a
-// snapshot to the identical bytes for the cross-tool byte-match contracts).
-// Decoders bounds-check every count against the reader's remaining bytes and
-// throw RecordsError (kOversizedField / kTruncated) on malformed input —
-// never allocate from an unvalidated length, never return silent garbage.
+// --- Record codec ---------------------------------------------------------
+// The byte encoding of every checkpointed record, shared between the
+// one-shot records bundle below and pq::store's segmented archive (segment
+// headers and block payloads); the store frames and indexes these bytes
+// but never encodes a record field itself, so the same record serializes
+// identically everywhere — the basis of the cross-tool byte-match
+// contracts. Snapshot decoders bounds-check every count against the
+// reader's remaining bytes and throw RecordsError (kOversizedField /
+// kTruncated) on malformed input — never allocate from an unvalidated
+// length, never return silent garbage.
 
 void put_window_snapshot(std::vector<std::uint8_t>& buf,
                          const WindowSnapshot& snap);
@@ -60,6 +65,27 @@ void put_monitor_snapshot(std::vector<std::uint8_t>& buf,
                           const MonitorSnapshot& snap);
 WindowSnapshot get_window_snapshot(wire::ByteReader& r);
 MonitorSnapshot get_monitor_snapshot(wire::ByteReader& r);
+
+/// The register layout (TimeWindowParams + monitor levels, 25 bytes). The
+/// getter returns false when the bytes run out or core::TtsLayout would
+/// reject the parameters, so every reader (.pqr header, segment header,
+/// calibration block) refuses a bad layout where it enters the program.
+void put_register_layout(std::vector<std::uint8_t>& buf,
+                         const core::TimeWindowParams& params,
+                         std::uint32_t monitor_levels);
+bool get_register_layout(wire::ByteReader& r, core::TimeWindowParams& params,
+                         std::uint32_t& monitor_levels);
+
+/// A per-poll calibration: taken_at, layout, z0 bits. The getter returns
+/// false on a short payload or a layout get_register_layout refuses.
+void put_calibration(std::vector<std::uint8_t>& buf,
+                     const CalibrationRecord& cal);
+bool get_calibration(wire::ByteReader& r, CalibrationRecord& cal);
+
+/// A data-plane-query capture: the notification, then both frozen banks in
+/// snapshot form (taken_at = the capture's dequeue time, epoch 0).
+void put_dq_capture(std::vector<std::uint8_t>& buf, const DqCapture& cap);
+DqCapture get_dq_capture(wire::ByteReader& r);
 
 /// Everything needed to answer queries offline: the layout parameters and
 /// the per-port snapshot sequences.
@@ -77,18 +103,21 @@ RegisterRecords collect_records(const core::PrintQueuePipeline& pipeline,
                                 const AnalysisProgram& analysis);
 
 /// Serialization. Throws RecordsError (a std::runtime_error) on I/O
-/// failure, truncation, oversized counts, magic or checksum mismatch.
+/// failure, truncation, oversized counts, magic or checksum mismatch, or an
+/// unusable layout.
 void write_records(std::ostream& out, const RegisterRecords& records);
 RegisterRecords read_records(std::istream& in);
 void write_records_file(const std::string& path,
                         const RegisterRecords& records);
 RegisterRecords read_records_file(const std::string& path);
 
-/// Offline query execution against a loaded bundle: the same interval
-/// estimation the analysis program performs, without a live pipeline.
-core::FlowCounts offline_query_time_windows(const RegisterRecords& records,
-                                            std::uint32_t port_prefix,
-                                            Timestamp t1, Timestamp t2);
+/// Offline query execution against a loaded bundle: the analysis program's
+/// own checkpoint walk and nearest-snapshot pick, over the bundle's
+/// snapshots and calibration, without a live pipeline (stale-cell salvage
+/// off). The time-window answer carries the walk's coverage.
+IntervalAnswer offline_query_time_windows(const RegisterRecords& records,
+                                          std::uint32_t port_prefix,
+                                          Timestamp t1, Timestamp t2);
 std::vector<core::OriginalCulprit> offline_query_queue_monitor(
     const RegisterRecords& records, std::uint32_t port_prefix, Timestamp t);
 

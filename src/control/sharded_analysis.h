@@ -70,8 +70,7 @@ class ShardedAnalysis {
       std::size_t k) const;
 
   /// Wall-clock latency of every routed query (coordinator side). A timing
-  /// metric: excluded from the determinism contract, empty with
-  /// PQ_METRICS=OFF.
+  /// metric: excluded from the determinism contract.
   const obs::Histogram& query_latency_ns() const { return query_ns_; }
 
   // --- Merged shard outputs ---

@@ -28,14 +28,18 @@ struct TimeWindowParams {
   /// next window. Isolates the contribution of hierarchical passing.
   bool ablate_passing = false;
 
-  void validate() const {
+  /// Why TtsLayout rejects these parameters, or nullptr if it accepts them.
+  const char* range_error() const noexcept {
     if (alpha == 0 || alpha > 8 || k == 0 || k > 20 || num_windows == 0 ||
         num_windows > 16 || num_ports == 0 || m0 > 20) {
-      throw std::invalid_argument("TimeWindowParams out of range");
+      return "TimeWindowParams out of range";
     }
-    if (wrap32 && m0 + k >= 32) {
-      throw std::invalid_argument("wrap32 requires m0 + k < 32");
-    }
+    if (wrap32 && m0 + k >= 32) return "wrap32 requires m0 + k < 32";
+    return nullptr;
+  }
+
+  void validate() const {
+    if (const char* why = range_error()) throw std::invalid_argument(why);
   }
 };
 

@@ -1,15 +1,14 @@
 #include "net/topology.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/hash.h"
+#include "common/json_reader.h"
 
 namespace pq::net {
 
@@ -277,61 +276,34 @@ void Topology::validate() {
 
 namespace {
 
-// Minimal schema-directed recursive-descent parser (same dialect as
-// serve/fault_config.cpp, extended with nested objects and arrays — no
-// escapes in strings, no null/bool, which the schema never needs).
-struct Cursor {
-  const std::string& s;
-  std::size_t i = 0;
+// Schema-directed recursive descent over the shared JSON cursor
+// (common/json_reader.h); every malformed step throws TopologyError.
+void expect(JsonCursor& c, char ch, const char* where) {
+  if (!c.eat(ch)) {
+    fail(std::string("topology json: expected '") + ch + "' in " + where +
+         " near byte " + std::to_string(c.offset()));
+  }
+}
 
-  void skip_ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  void expect(char c, const char* where) {
-    if (!eat(c)) {
-      fail(std::string("topology json: expected '") + c + "' in " + where +
-           " near byte " + std::to_string(i));
-    }
-  }
-  bool done() {
-    skip_ws();
-    return i >= s.size();
-  }
-};
-
-std::string parse_string(Cursor& c, const char* where) {
-  c.expect('"', where);
+std::string parse_string(JsonCursor& c, const char* where) {
   std::string out;
-  while (c.i < c.s.size() && c.s[c.i] != '"') {
-    if (c.s[c.i] == '\\') fail("topology json: string escapes unsupported");
-    out.push_back(c.s[c.i++]);
+  if (!c.string(out)) {
+    fail(std::string("topology json: expected an unescaped string in ") +
+         where + " near byte " + std::to_string(c.offset()));
   }
-  c.expect('"', where);
   return out;
 }
 
-double parse_number(Cursor& c, const char* where) {
-  c.skip_ws();
-  const char* start = c.s.c_str() + c.i;
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) {
+double parse_number(JsonCursor& c, const char* where) {
+  double v = 0.0;
+  if (!c.number(v)) {
     fail(std::string("topology json: expected a number in ") + where +
-         " near byte " + std::to_string(c.i));
+         " near byte " + std::to_string(c.offset()));
   }
-  c.i += static_cast<std::size_t>(end - start);
   return v;
 }
 
-std::uint32_t parse_u32(Cursor& c, const char* where) {
+std::uint32_t parse_u32(JsonCursor& c, const char* where) {
   const double v = parse_number(c, where);
   if (v < 0 || v != static_cast<double>(static_cast<std::uint64_t>(v)) ||
       v > 4294967295.0) {
@@ -341,7 +313,7 @@ std::uint32_t parse_u32(Cursor& c, const char* where) {
   return static_cast<std::uint32_t>(v);
 }
 
-std::int64_t parse_i64(Cursor& c, const char* where) {
+std::int64_t parse_i64(JsonCursor& c, const char* where) {
   const double v = parse_number(c, where);
   if (v != static_cast<double>(static_cast<std::int64_t>(v))) {
     fail(std::string("topology json: ") + where + " must be an integer");
@@ -352,36 +324,36 @@ std::int64_t parse_i64(Cursor& c, const char* where) {
 /// Drives `field(key)` over every "key": <value> pair of an object; field
 /// must consume the value and return true, or false for an unknown key.
 template <typename FieldFn>
-void parse_object(Cursor& c, const char* where, FieldFn field) {
-  c.expect('{', where);
+void parse_object(JsonCursor& c, const char* where, FieldFn field) {
+  expect(c, '{', where);
   if (c.eat('}')) return;
   for (;;) {
     const std::string key = parse_string(c, where);
-    c.expect(':', where);
+    expect(c, ':', where);
     if (!field(key)) {
       fail(std::string("topology json: unknown key \"") + key + "\" in " +
            where);
     }
     if (c.eat(',')) continue;
-    c.expect('}', where);
+    expect(c, '}', where);
     return;
   }
 }
 
 /// Drives `element()` over every element of an array.
 template <typename ElemFn>
-void parse_array(Cursor& c, const char* where, ElemFn element) {
-  c.expect('[', where);
+void parse_array(JsonCursor& c, const char* where, ElemFn element) {
+  expect(c, '[', where);
   if (c.eat(']')) return;
   for (;;) {
     element();
     if (c.eat(',')) continue;
-    c.expect(']', where);
+    expect(c, ']', where);
     return;
   }
 }
 
-sim::PortConfig parse_port(Cursor& c) {
+sim::PortConfig parse_port(JsonCursor& c) {
   sim::PortConfig port;
   parse_object(c, "ports[]", [&](const std::string& key) {
     if (key == "port_id") port.port_id = parse_u32(c, "port_id");
@@ -396,7 +368,7 @@ sim::PortConfig parse_port(Cursor& c) {
   return port;
 }
 
-SwitchConfig parse_switch(Cursor& c) {
+SwitchConfig parse_switch(JsonCursor& c) {
   SwitchConfig sw;
   parse_object(c, "switches[]", [&](const std::string& key) {
     if (key == "id") sw.id = parse_u32(c, "switch id");
@@ -410,7 +382,7 @@ SwitchConfig parse_switch(Cursor& c) {
   return sw;
 }
 
-HostConfig parse_host(Cursor& c) {
+HostConfig parse_host(JsonCursor& c) {
   HostConfig h;
   parse_object(c, "hosts[]", [&](const std::string& key) {
     if (key == "id") h.id = parse_u32(c, "host id");
@@ -425,7 +397,7 @@ HostConfig parse_host(Cursor& c) {
   return h;
 }
 
-LinkConfig parse_link(Cursor& c) {
+LinkConfig parse_link(JsonCursor& c) {
   LinkConfig l;
   parse_object(c, "links[]", [&](const std::string& key) {
     if (key == "from_switch") l.from_switch = parse_u32(c, "from_switch");
@@ -440,7 +412,7 @@ LinkConfig parse_link(Cursor& c) {
   return l;
 }
 
-RouteEntry parse_route(Cursor& c) {
+RouteEntry parse_route(JsonCursor& c) {
   RouteEntry r;
   parse_object(c, "routes[]", [&](const std::string& key) {
     if (key == "switch") r.sw = parse_u32(c, "route switch");
@@ -464,7 +436,7 @@ std::string fmt_double(double v) {
 }  // namespace
 
 Topology load_topology(const std::string& json_text) {
-  Cursor c{json_text};
+  JsonCursor c(json_text);
   Topology t;
   parse_object(c, "topology", [&](const std::string& key) {
     if (key == "name") t.name = parse_string(c, "topology name");

@@ -1,11 +1,10 @@
 #include "obs/metrics.h"
 
-#if PQ_METRICS_ENABLED
-
-#include <cctype>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
+
+#include "common/json_reader.h"
 
 namespace pq::obs {
 
@@ -238,120 +237,77 @@ std::string MetricsRegistry::to_prometheus(IncludeTimings timings) const {
 
 // --- from_json: a minimal parser for exactly the shape to_json emits ---
 
-namespace {
-
-struct JsonCursor {
-  std::string_view s;
-  std::size_t i = 0;
-
-  [[noreturn]] void fail(const char* what) const {
-    throw std::invalid_argument(std::string("metrics JSON: ") + what +
-                                " at offset " + std::to_string(i));
-  }
-  void skip_ws() {
-    while (i < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-      ++i;
-    }
-  }
-  bool peek(char c) {
-    skip_ws();
-    return i < s.size() && s[i] == c;
-  }
-  void expect(char c) {
-    skip_ws();
-    if (i >= s.size() || s[i] != c) fail("unexpected character");
-    ++i;
-  }
-  bool consume(char c) {
-    if (peek(c)) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') fail("escapes are not supported");
-      out += s[i++];
-    }
-    expect('"');
-    return out;
-  }
-  std::uint64_t u64() {
-    skip_ws();
-    if (i >= s.size() ||
-        std::isdigit(static_cast<unsigned char>(s[i])) == 0) {
-      fail("expected an integer");
-    }
-    std::uint64_t v = 0;
-    while (i < s.size() &&
-           std::isdigit(static_cast<unsigned char>(s[i])) != 0) {
-      v = v * 10 + static_cast<std::uint64_t>(s[i] - '0');
-      ++i;
-    }
-    return v;
-  }
-};
-
-}  // namespace
-
 MetricsRegistry MetricsRegistry::from_json(std::string_view json) {
   MetricsRegistry reg;
-  JsonCursor c{json};
-  c.expect('{');
-  if (c.string() != "metrics") c.fail("expected \"metrics\"");
-  c.expect(':');
-  c.expect('[');
-  if (!c.consume(']')) {
+  JsonCursor c(json);
+  const auto fail = [&c](const char* what) {
+    throw std::invalid_argument(std::string("metrics JSON: ") + what +
+                                " at offset " + std::to_string(c.offset()));
+  };
+  const auto expect = [&](char ch) {
+    if (!c.eat(ch)) fail("unexpected character");
+  };
+  const auto string = [&] {
+    std::string out;
+    if (!c.string(out)) fail("expected an unescaped string");
+    return out;
+  };
+  const auto u64 = [&] {
+    std::uint64_t v = 0;
+    if (!c.u64(v)) fail("expected an integer");
+    return v;
+  };
+  expect('{');
+  if (string() != "metrics") fail("expected \"metrics\"");
+  expect(':');
+  expect('[');
+  if (!c.eat(']')) {
     do {
-      c.expect('{');
+      expect('{');
       std::string name, type, mode = "max";
       bool timing = false;
       std::uint64_t value = 0, count = 0, sum = 0, minv = 0, maxv = 0;
       std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
       do {
-        const std::string key = c.string();
-        c.expect(':');
+        const std::string key = string();
+        expect(':');
         if (key == "name") {
-          name = c.string();
+          name = string();
         } else if (key == "type") {
-          type = c.string();
+          type = string();
         } else if (key == "mode") {
-          mode = c.string();
+          mode = string();
         } else if (key == "timing") {
-          timing = c.u64() != 0;
+          timing = u64() != 0;
         } else if (key == "value") {
-          value = c.u64();
+          value = u64();
         } else if (key == "count") {
-          count = c.u64();
+          count = u64();
         } else if (key == "sum") {
-          sum = c.u64();
+          sum = u64();
         } else if (key == "min") {
-          minv = c.u64();
+          minv = u64();
         } else if (key == "max") {
-          maxv = c.u64();
+          maxv = u64();
         } else if (key == "buckets") {
-          c.expect('[');
-          if (!c.consume(']')) {
+          expect('[');
+          if (!c.eat(']')) {
             do {
-              c.expect('[');
-              const std::uint64_t idx = c.u64();
-              c.expect(',');
-              const std::uint64_t n = c.u64();
-              c.expect(']');
+              expect('[');
+              const std::uint64_t idx = u64();
+              expect(',');
+              const std::uint64_t n = u64();
+              expect(']');
               buckets.emplace_back(idx, n);
-            } while (c.consume(','));
-            c.expect(']');
+            } while (c.eat(','));
+            expect(']');
           }
         } else {
-          c.fail("unknown key");
+          fail("unknown key");
         }
-      } while (c.consume(','));
-      c.expect('}');
-      if (name.empty()) c.fail("metric without a name");
+      } while (c.eat(','));
+      expect('}');
+      if (name.empty()) fail("metric without a name");
       if (type == "counter") {
         reg.counter(name, "", timing).inc(value);
       } else if (type == "gauge") {
@@ -361,20 +317,18 @@ MetricsRegistry MetricsRegistry::from_json(std::string_view json) {
       } else if (type == "histogram") {
         Histogram& dst = reg.histogram(name, "", timing);
         for (const auto& [idx, n] : buckets) {
-          if (idx >= Histogram::kBuckets) c.fail("bucket index out of range");
+          if (idx >= Histogram::kBuckets) fail("bucket index out of range");
           dst.restore_bucket(static_cast<std::size_t>(idx), n);
         }
         dst.restore_aggregates(count, sum, minv, maxv);
       } else {
-        c.fail("unknown metric type");
+        fail("unknown metric type");
       }
-    } while (c.consume(','));
-    c.expect(']');
+    } while (c.eat(','));
+    expect(']');
   }
-  c.expect('}');
+  expect('}');
   return reg;
 }
 
 }  // namespace pq::obs
-
-#endif  // PQ_METRICS_ENABLED

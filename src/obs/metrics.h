@@ -14,26 +14,15 @@
 // tagged `timing` and excluded from the deterministic serialization view
 // (`IncludeTimings::kNo`), which is what the sharded determinism test
 // byte-compares across thread counts.
-//
-// Zero-overhead build: configure with -DPQ_METRICS=OFF and every type in
-// this header collapses to an empty inline stub — no pq::obs symbols are
-// emitted, no clocks are read, instrumentation sites cost nothing.
 #pragma once
-
-#ifndef PQ_METRICS_ENABLED
-#define PQ_METRICS_ENABLED 1
-#endif
-
-#include <cstdint>
-#include <string>
-#include <string_view>
-
-#if PQ_METRICS_ENABLED
 
 #include <array>
 #include <bit>
 #include <chrono>
+#include <cstdint>
 #include <map>
+#include <string>
+#include <string_view>
 
 namespace pq::obs {
 
@@ -243,97 +232,3 @@ class MetricsRegistry {
 };
 
 }  // namespace pq::obs
-
-#else  // !PQ_METRICS_ENABLED — every type collapses to an inline no-op with
-       // the identical API, so instrumentation sites compile away entirely.
-
-namespace pq::obs {
-
-class Counter {
- public:
-  void inc(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void merge(const Counter&) {}
-};
-
-enum class GaugeMode : std::uint8_t { kMax, kSum };
-
-class Gauge {
- public:
-  explicit Gauge(GaugeMode = GaugeMode::kMax) {}
-  void set(std::uint64_t) {}
-  void set_max(std::uint64_t) {}
-  std::uint64_t value() const { return 0; }
-  GaugeMode mode() const { return GaugeMode::kMax; }
-  void merge(const Gauge&) {}
-};
-
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 65;
-  void observe(std::uint64_t) {}
-  static std::size_t bucket_of(std::uint64_t) { return 0; }
-  static std::uint64_t bucket_upper(std::size_t) { return 0; }
-  std::uint64_t count() const { return 0; }
-  std::uint64_t sum() const { return 0; }
-  std::uint64_t min() const { return 0; }
-  std::uint64_t max() const { return 0; }
-  std::uint64_t bucket_count(std::size_t) const { return 0; }
-  std::uint64_t quantile(double) const { return 0; }
-  void merge(const Histogram&) {}
-  void restore_bucket(std::size_t, std::uint64_t) {}
-  void restore_aggregates(std::uint64_t, std::uint64_t, std::uint64_t,
-                          std::uint64_t) {}
-};
-
-class StopwatchNs {
- public:
-  std::uint64_t elapsed_ns() const { return 0; }
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram&, Counter* = nullptr) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
-
-enum class MetricType : std::uint8_t { kCounter, kGauge, kHistogram };
-enum class IncludeTimings : std::uint8_t { kNo, kYes };
-
-class MetricsRegistry {
- public:
-  Counter& counter(std::string_view, std::string_view = "", bool = false) {
-    return counter_;
-  }
-  Gauge& gauge(std::string_view, GaugeMode = GaugeMode::kMax,
-               std::string_view = "", bool = false) {
-    return gauge_;
-  }
-  Histogram& histogram(std::string_view, std::string_view = "",
-                       bool = false) {
-    return hist_;
-  }
-  void merge(const MetricsRegistry&) {}
-  std::size_t size() const { return 0; }
-  bool contains(std::string_view) const { return false; }
-  std::uint64_t counter_value(std::string_view) const { return 0; }
-  std::uint64_t gauge_value(std::string_view) const { return 0; }
-  const Histogram& histogram_at(std::string_view) const { return hist_; }
-  std::string to_json(IncludeTimings = IncludeTimings::kYes) const {
-    return "{\"metrics\":[]}\n";
-  }
-  std::string to_prometheus(IncludeTimings = IncludeTimings::kYes) const {
-    return std::string();
-  }
-  static MetricsRegistry from_json(std::string_view) { return {}; }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram hist_;
-};
-
-}  // namespace pq::obs
-
-#endif  // PQ_METRICS_ENABLED

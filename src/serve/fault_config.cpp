@@ -1,57 +1,13 @@
 #include "serve/fault_config.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "common/json_reader.h"
 
 namespace pq::serve {
 
 namespace {
-
-struct Cursor {
-  const std::string& s;
-  std::size_t i = 0;
-
-  void skip_ws() {
-    while (i < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-      ++i;
-    }
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool done() {
-    skip_ws();
-    return i >= s.size();
-  }
-};
-
-bool parse_string(Cursor& c, std::string& out) {
-  if (!c.eat('"')) return false;
-  out.clear();
-  while (c.i < c.s.size() && c.s[c.i] != '"') {
-    if (c.s[c.i] == '\\') return false;  // escapes never appear in our keys
-    out.push_back(c.s[c.i++]);
-  }
-  return c.eat('"');
-}
-
-bool parse_number(Cursor& c, double& out) {
-  c.skip_ws();
-  const char* start = c.s.c_str() + c.i;
-  char* end = nullptr;
-  out = std::strtod(start, &end);
-  if (end == start) return false;
-  c.i += static_cast<std::size_t>(end - start);
-  return true;
-}
 
 bool assign(const std::string& key, double v, faults::FaultPlanConfig& cfg) {
   auto u32 = [&v] { return static_cast<std::uint32_t>(v); };
@@ -104,7 +60,7 @@ bool assign(const std::string& key, double v, faults::FaultPlanConfig& cfg) {
 
 bool parse_fault_config(const std::string& text, faults::FaultPlanConfig& out,
                         std::string& error) {
-  Cursor c{text};
+  JsonCursor c(text);
   if (!c.eat('{')) {
     error = "fault config: expected '{'";
     return false;
@@ -118,7 +74,7 @@ bool parse_fault_config(const std::string& text, faults::FaultPlanConfig& out,
   }
   for (;;) {
     std::string key;
-    if (!parse_string(c, key)) {
+    if (!c.string(key)) {
       error = "fault config: expected a string key";
       return false;
     }
@@ -127,7 +83,7 @@ bool parse_fault_config(const std::string& text, faults::FaultPlanConfig& out,
       return false;
     }
     double value = 0.0;
-    if (!parse_number(c, value)) {
+    if (!c.number(value)) {
       error = "fault config: expected a number for \"" + key + "\"";
       return false;
     }

@@ -66,8 +66,11 @@ std::vector<std::uint8_t> QueryRouter::handle(
   }
 
   // Recovered history first: a span that ends at or before the crash
-  // horizon is fully backed by the archive and must answer byte-identically
-  // to pq_query over the same directory.
+  // horizon is answered from the archive, byte-identically to pq_query over
+  // the same directory. A time-window answer carries the walk's coverage
+  // (retention may have deleted the oldest checkpoints), with QueryService's
+  // kPartial rule; a monitor answer stays at 1.0, since the archive does not
+  // record the poll period its proximity rule needs.
   const auto it = recovered_.find(req.port_prefix);
   if (it != recovered_.end()) {
     const bool windows = req.type == control::QueryType::kTimeWindows;
@@ -78,15 +81,17 @@ std::vector<std::uint8_t> QueryRouter::handle(
       control::QueryResponse resp;
       resp.type = req.type;
       resp.request_id = req.request_id;
-      resp.status = control::QueryStatus::kOk;
       resp.confidence = 1.0;
       if (windows) {
-        resp.counts = control::offline_query_time_windows(
+        auto answer = control::offline_query_time_windows(
             it->second.records, 0, req.t1, req.t2);
+        resp.counts = std::move(answer.counts);
+        resp.confidence = answer.coverage;
       } else {
         resp.culprits = control::offline_query_queue_monitor(
             it->second.records, 0, req.t1);
       }
+      resp.status = control::status_for(resp.confidence);
       ++stats_.served_recovered;
       return control::encode_response(resp);
     }

@@ -302,8 +302,7 @@ void ShardedEngine::drain_shard_epochs(std::size_t p,
                                        const RunOptions& opts,
                                        EpochCollector& collector) {
   // Shard-local wall-clock accounting: only the worker that claimed shard
-  // `p` touches drain_ns_[p], so no synchronisation is needed (and the
-  // stopwatch is a no-op in PQ_METRICS=OFF builds).
+  // `p` touches drain_ns_[p], so no synchronisation is needed.
   const obs::StopwatchNs watch;
   EgressPort& port = *ports_[p];
   port.set_hook_batch(opts.batch);

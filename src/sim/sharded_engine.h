@@ -119,8 +119,7 @@ class ShardedEngine {
   std::size_t num_ports() const { return ports_.size(); }
 
   /// Wall-clock ns spent draining one shard. Written only by the worker
-  /// that owns the shard during the run; read after it. Always 0 in a
-  /// PQ_METRICS=OFF build (the stopwatch compiles to a no-op).
+  /// that owns the shard during the run; read after it.
   std::uint64_t drain_ns(std::uint32_t index) const {
     return drain_ns_.at(index);
   }

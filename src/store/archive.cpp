@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -18,24 +17,6 @@
 #include "wire/bytes.h"
 
 namespace pq::store {
-
-namespace {
-
-void put_f64(std::vector<std::uint8_t>& buf, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  wire::put_u64(buf, bits);
-}
-
-void put_flow(std::vector<std::uint8_t>& buf, const FlowId& f) {
-  wire::put_u32(buf, f.src_ip);
-  wire::put_u32(buf, f.dst_ip);
-  wire::put_u16(buf, f.src_port);
-  wire::put_u16(buf, f.dst_port);
-  wire::put_u8(buf, f.proto);
-}
-
-}  // namespace
 
 const char* to_string(BlockKind kind) {
   switch (kind) {
@@ -75,14 +56,8 @@ void encode_segment_header(std::vector<std::uint8_t>& buf,
   wire::put_u16(buf, 0);  // reserved
   wire::put_u32(buf, header.port);
   wire::put_u32(buf, header.segment_index);
-  const auto& p = header.window_params;
-  wire::put_u32(buf, p.m0);
-  wire::put_u32(buf, p.alpha);
-  wire::put_u32(buf, p.k);
-  wire::put_u32(buf, p.num_windows);
-  wire::put_u32(buf, p.num_ports);
-  wire::put_u8(buf, p.wrap32 ? 1 : 0);
-  wire::put_u32(buf, header.monitor_levels);
+  control::put_register_layout(buf, header.window_params,
+                               header.monitor_levels);
   wire::put_u32(buf, crc32(buf.data(), buf.size()));
 }
 
@@ -96,13 +71,10 @@ bool decode_segment_header(std::span<const std::uint8_t> data,
   r.u16();  // reserved
   out.port = r.u32();
   out.segment_index = r.u32();
-  out.window_params.m0 = r.u32();
-  out.window_params.alpha = r.u32();
-  out.window_params.k = r.u32();
-  out.window_params.num_windows = r.u32();
-  out.window_params.num_ports = r.u32();
-  out.window_params.wrap32 = r.u8() != 0;
-  out.monitor_levels = r.u32();
+  if (!control::get_register_layout(r, out.window_params,
+                                    out.monitor_levels)) {
+    return false;
+  }
   const std::size_t crc_off = r.offset();
   const std::uint32_t stored = r.u32();
   if (!r.ok()) return false;
@@ -345,34 +317,14 @@ void ArchiveWriter::on_monitor_snapshot(std::uint32_t partition,
 void ArchiveWriter::on_dq_capture(std::uint32_t port,
                                   const control::DqCapture& cap) {
   std::vector<std::uint8_t> payload;
-  const auto& n = cap.notification;
-  wire::put_u32(payload, n.port_prefix);
-  put_flow(payload, n.victim_flow);
-  wire::put_u64(payload, n.enq_timestamp);
-  wire::put_u64(payload, n.deq_timestamp);
-  wire::put_u32(payload, n.enq_qdepth);
-  wire::put_u32(payload, n.window_bank);
-  wire::put_u32(payload, n.monitor_bank);
-  // The frozen banks reuse the snapshot codec (taken_at = capture time,
-  // epoch 0: a dq capture freezes the banks, there is no rotation race).
-  control::put_window_snapshot(payload, {n.deq_timestamp, 0, cap.windows});
-  control::put_monitor_snapshot(payload, {n.deq_timestamp, 0, cap.monitor});
-  enqueue(BlockKind::kDqCapture, port, n.enq_timestamp, n.deq_timestamp,
-          payload);
+  control::put_dq_capture(payload, cap);
+  enqueue(BlockKind::kDqCapture, port, cap.notification.enq_timestamp,
+          cap.notification.deq_timestamp, payload);
 }
 
 void ArchiveWriter::on_calibration(const control::CalibrationRecord& cal) {
   std::vector<std::uint8_t> payload;
-  wire::put_u64(payload, cal.taken_at);
-  const auto& p = cal.window_params;
-  wire::put_u32(payload, p.m0);
-  wire::put_u32(payload, p.alpha);
-  wire::put_u32(payload, p.k);
-  wire::put_u32(payload, p.num_windows);
-  wire::put_u32(payload, p.num_ports);
-  wire::put_u8(payload, p.wrap32 ? 1 : 0);
-  wire::put_u32(payload, cal.monitor_levels);
-  put_f64(payload, cal.z0);
+  control::put_calibration(payload, cal);
   enqueue(BlockKind::kCalibration, 0, cal.taken_at, cal.taken_at, payload);
 }
 

@@ -12,10 +12,11 @@
 // Every block frame is independently verifiable: a reader that scans frames
 // sequentially and stops at the first CRC mismatch recovers exactly the
 // longest valid prefix the writer persisted before a crash. Block payloads
-// reuse the control-plane snapshot codec (control/register_records.h), so
-// an archived snapshot is byte-identical to the same snapshot in a one-shot
-// records bundle — the basis of the pq_query / pq_offline byte-match
-// contract. All integers are big-endian (wire/bytes.h).
+// and the header's register layout come from the control-plane record
+// codec (control/register_records.h), so an archived snapshot is
+// byte-identical to the same snapshot in a one-shot records bundle — the
+// basis of the pq_query / pq_offline byte-match contract. All integers are
+// big-endian (wire/bytes.h).
 #pragma once
 
 #include <cstdint>

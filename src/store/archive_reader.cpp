@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -18,23 +17,6 @@ namespace pq::store {
 namespace fs = std::filesystem;
 
 namespace {
-
-double get_f64(wire::ByteReader& r) {
-  const std::uint64_t bits = r.u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-FlowId get_flow(wire::ByteReader& r) {
-  FlowId f;
-  f.src_ip = r.u32();
-  f.dst_ip = r.u32();
-  f.src_port = r.u16();
-  f.dst_port = r.u16();
-  f.proto = r.u8();
-  return f;
-}
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -355,16 +337,13 @@ control::RegisterRecords ArchiveReader::to_records(std::uint32_t port,
         break;
       case BlockKind::kCalibration: {
         // The newest surviving calibration wins — exactly what the live
-        // program would have used at the last recovered checkpoint.
-        r.u64();  // taken_at
-        records.window_params.m0 = r.u32();
-        records.window_params.alpha = r.u32();
-        records.window_params.k = r.u32();
-        records.window_params.num_windows = r.u32();
-        records.window_params.num_ports = r.u32();
-        records.window_params.wrap32 = r.u8() != 0;
-        records.monitor_levels = r.u32();
-        records.z0 = get_f64(r);
+        // program would have used at the last recovered checkpoint. One
+        // whose layout is unusable is skipped; the segment header's stays.
+        control::CalibrationRecord cal;
+        if (!control::get_calibration(r, cal)) break;
+        records.window_params = cal.window_params;
+        records.monitor_levels = cal.monitor_levels;
+        records.z0 = cal.z0;
         break;
       }
       case BlockKind::kDqCapture:
@@ -379,7 +358,8 @@ core::FlowCounts ArchiveReader::query_time_windows(std::uint32_t port,
                                                    std::uint32_t partition,
                                                    Timestamp as_of) const {
   return control::offline_query_time_windows(to_records(port, as_of),
-                                             partition, t1, t2);
+                                             partition, t1, t2)
+      .counts;
 }
 
 std::vector<core::OriginalCulprit> ArchiveReader::query_queue_monitor(
@@ -395,17 +375,7 @@ std::vector<control::DqCapture> ArchiveReader::dq_captures(
   for (const auto& b : ports_.at(port).blocks) {
     if (b.kind != BlockKind::kDqCapture) continue;
     wire::ByteReader r(b.payload);
-    control::DqCapture cap;
-    cap.notification.port_prefix = r.u32();
-    cap.notification.victim_flow = get_flow(r);
-    cap.notification.enq_timestamp = r.u64();
-    cap.notification.deq_timestamp = r.u64();
-    cap.notification.enq_qdepth = r.u32();
-    cap.notification.window_bank = r.u32();
-    cap.notification.monitor_bank = r.u32();
-    cap.windows = control::get_window_snapshot(r).state;
-    cap.monitor = control::get_monitor_snapshot(r).state;
-    out.push_back(std::move(cap));
+    out.push_back(control::get_dq_capture(r));
   }
   return out;
 }

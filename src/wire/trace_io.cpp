@@ -14,11 +14,7 @@ namespace pq::wire {
 namespace {
 
 void encode_record(std::vector<std::uint8_t>& buf, const TelemetryRecord& r) {
-  put_u32(buf, r.flow.src_ip);
-  put_u32(buf, r.flow.dst_ip);
-  put_u16(buf, r.flow.src_port);
-  put_u16(buf, r.flow.dst_port);
-  put_u8(buf, r.flow.proto);
+  put_flow(buf, r.flow);
   put_u32(buf, r.egress_port);
   put_u32(buf, r.size_bytes);
   put_u64(buf, r.enq_timestamp);
@@ -29,11 +25,7 @@ void encode_record(std::vector<std::uint8_t>& buf, const TelemetryRecord& r) {
 
 TelemetryRecord decode_record(ByteReader& r) {
   TelemetryRecord rec;
-  rec.flow.src_ip = r.u32();
-  rec.flow.dst_ip = r.u32();
-  rec.flow.src_port = r.u16();
-  rec.flow.dst_port = r.u16();
-  rec.flow.proto = r.u8();
+  rec.flow = get_flow(r);
   rec.egress_port = r.u32();
   rec.size_bytes = r.u32();
   rec.enq_timestamp = r.u64();

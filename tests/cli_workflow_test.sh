@@ -29,14 +29,12 @@ grep -q "direct culprits" "$WORK/replay.log"
 grep -q "accuracy vs trace ground truth" "$WORK/replay.log"
 grep -q "register records saved" "$WORK/replay.log"
 
-# --metrics-out / --metrics-prom produce well-formed exports (the JSON is
-# the stub '{"metrics":[]}' in PQ_METRICS=OFF builds, which also passes).
+# --metrics-out / --metrics-prom produce well-formed, populated exports.
 grep -q '"metrics"' "$WORK/metrics.json"
 test -f "$WORK/metrics.prom"
-if grep -q '"name"' "$WORK/metrics.json"; then
-  grep -q 'pq_core_packets_seen_total' "$WORK/metrics.json"
-  grep -q '# TYPE pq_core_packets_seen_total counter' "$WORK/metrics.prom"
-fi
+grep -q '"name"' "$WORK/metrics.json"
+grep -q 'pq_core_packets_seen_total' "$WORK/metrics.json"
+grep -q '# TYPE pq_core_packets_seen_total counter' "$WORK/metrics.prom"
 
 "$TOOLS_DIR/pq_offline" "$WORK/t.pqr" windows 0 2000000 4000000 --top 3 \
   | tee "$WORK/offline.log"

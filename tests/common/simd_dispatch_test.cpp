@@ -91,10 +91,11 @@ TEST(SimdDispatch, HashBatchTailsMatchScalarOracle) {
     ScopedLevel scope(level);
     for (std::size_t n = 0; n <= 16; ++n) {
       std::vector<std::uint64_t> in(n), out(n, 0xdead);
-      std::vector<FlowId> flows(n);
+      std::vector<FlowId> flows;
+      flows.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         in[i] = 0x123456789abcdef0ull * (i + 1) + n;
-        flows[i] = make_flow(static_cast<std::uint32_t>(7 * i + n));
+        flows.push_back(make_flow(static_cast<std::uint32_t>(7 * i + n)));
       }
       mix64_batch(in.data(), out.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -133,13 +134,14 @@ TEST(SimdDispatch, WindowRunTailsMatchPerPacketOracle) {
     core::TimeWindowSet batched(p);
     Timestamp t = 100;
     for (std::size_t n = 0; n <= 12; ++n) {
-      std::vector<FlowId> flows(n);
+      std::vector<FlowId> flows;
+      flows.reserve(n);
       std::vector<Timestamp> deq(n);
       for (std::size_t i = 0; i < n; ++i) {
         // Small advances with repeats: eviction chains and equal-TTS
         // duplicates inside the tiny run lengths.
         t += (i % 3 == 0) ? 0 : 17 * (i + n);
-        flows[i] = make_flow(static_cast<std::uint32_t>(i + 31 * n));
+        flows.push_back(make_flow(static_cast<std::uint32_t>(i + 31 * n)));
         deq[i] = t;
       }
       for (std::size_t i = 0; i < n; ++i) {

@@ -54,8 +54,6 @@ core::PrintQueuePipeline driven_pipeline() {
   return pipe;
 }
 
-#if PQ_METRICS_ENABLED
-
 TEST(MetricsExport, PipelineExporterReportsPipelineCounters) {
   const core::PrintQueuePipeline pipe = driven_pipeline();
   // The drive must have hit every counted path.
@@ -183,17 +181,6 @@ TEST(MetricsExport, FaultExporterTalliesScheduleByKind) {
   EXPECT_EQ(torn_w + torn_m + forced + skew, plan.schedule().size())
       << "an injector kind fired that the tally does not cover";
 }
-
-#else  // !PQ_METRICS_ENABLED
-
-TEST(MetricsExport, OffBuildExportsNothing) {
-  const core::PrintQueuePipeline pipe = driven_pipeline();
-  obs::MetricsRegistry reg;
-  export_pipeline_metrics(reg, pipe);
-  EXPECT_EQ(reg.to_json(), "{\"metrics\":[]}\n");
-}
-
-#endif  // PQ_METRICS_ENABLED
 
 }  // namespace
 }  // namespace pq::control

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace pq::control {
 namespace {
 
@@ -154,6 +156,14 @@ TEST(QueryService, UncoveredSpanIsFlaggedPartial) {
   EXPECT_GT(resp.confidence, 0.0);
   EXPECT_LT(resp.confidence, 1.0);
   EXPECT_EQ(rig.service.health().partial_answers, 1u);
+}
+
+TEST(QueryService, StatusForSplitsAtFullConfidence) {
+  EXPECT_EQ(status_for(1.0), QueryStatus::kOk);
+  EXPECT_EQ(status_for(kFullConfidence), QueryStatus::kOk);
+  EXPECT_EQ(status_for(std::nextafter(kFullConfidence, 0.0)),
+            QueryStatus::kPartial);
+  EXPECT_EQ(status_for(0.0), QueryStatus::kPartial);
 }
 
 TEST(QueryService, DuplicateRequestIdsAreServedFromCache) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "common/hash.h"
 #include "sim/egress_port.h"
@@ -79,7 +81,7 @@ TEST(RegisterRecords, OfflineQueriesMatchLiveAnalysisProgram) {
     const Timestamp t2 = recs[i].deq_timestamp();
     if (t2 <= t1) continue;
     const auto live = rig.analysis->query_time_windows(0, t1, t2);
-    const auto offline = offline_query_time_windows(records, 0, t1, t2);
+    const auto offline = offline_query_time_windows(records, 0, t1, t2).counts;
     ASSERT_EQ(live.size(), offline.size()) << "victim " << i;
     for (const auto& [flow, n] : live) {
       ASSERT_TRUE(offline.contains(flow));
@@ -206,6 +208,115 @@ TEST(RegisterRecordsErrors, TrailingBytesRejected) {
   payload.insert(payload.end(), {0xDE, 0xAD, 0xBE, 0xEF});
   EXPECT_EQ(decode_error(std::move(payload)),
             RecordsErrorCode::kTrailingBytes);
+}
+
+TEST(RegisterRecordsErrors, UnusableLayoutRejected) {
+  // Checksummed bundles whose layout core::TtsLayout refuses are refused at
+  // decode, so no query ever builds a layout from them. Header fields after
+  // the magic: m0, alpha, k, T, ports (u32 each), then wrap32 (u8).
+  auto zero_alpha = minimal_payload();
+  zero_alpha[11] = 0;  // low byte of alpha (default 1)
+  EXPECT_EQ(decode_error(std::move(zero_alpha)),
+            RecordsErrorCode::kBadLayout);
+
+  auto wide_wrap = minimal_payload();
+  wide_wrap[7] = 20;  // m0 20 is in range, but with k 12 it needs 32 bits
+  wide_wrap[24] = 1;  // wrap32
+  EXPECT_EQ(decode_error(std::move(wide_wrap)),
+            RecordsErrorCode::kBadLayout);
+}
+
+TEST(RegisterRecords, CalibrationWithUnusableLayoutIsRefused) {
+  CalibrationRecord cal;
+  cal.taken_at = 5000;
+  cal.monitor_levels = 9;
+  cal.z0 = 0.25;
+  std::vector<std::uint8_t> buf;
+  put_calibration(buf, cal);
+  CalibrationRecord back;
+  wire::ByteReader r(buf);
+  ASSERT_TRUE(get_calibration(r, back));
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(back.taken_at, 5000u);
+  EXPECT_EQ(back.window_params.k, cal.window_params.k);
+  EXPECT_EQ(back.monitor_levels, 9u);
+  EXPECT_EQ(back.z0, 0.25);
+
+  cal.window_params.num_windows = 0;
+  buf.clear();
+  put_calibration(buf, cal);
+  wire::ByteReader bad(buf);
+  EXPECT_FALSE(get_calibration(bad, back));
+
+  wire::ByteReader short_payload(std::span<const std::uint8_t>(buf).first(10));
+  EXPECT_FALSE(get_calibration(short_payload, back));
+}
+
+// A DQ capture with empty, occupied and one-sided cells and entries.
+DqCapture hand_built_capture() {
+  DqCapture cap;
+  auto& n = cap.notification;
+  n.port_prefix = 3;
+  n.victim_flow = {0x0a000001, 0x0a000002, 4242, 80, 6};
+  n.enq_timestamp = 1'000'000;
+  n.deq_timestamp = 1'250'000;
+  n.enq_qdepth = 777;
+  n.window_bank = 1;
+  n.monitor_bank = 0;
+  cap.windows.resize(2);
+  cap.windows[0].resize(2);
+  cap.windows[0][1].occupied = true;
+  cap.windows[0][1].flow = {1, 2, 3, 4, 17};
+  cap.windows[0][1].cycle_id = 0x0102030405060708ull;
+  cap.windows[1].resize(1);
+  cap.monitor.top = 2;
+  cap.monitor.entries.resize(3);
+  cap.monitor.entries[0].inc = {{5, 6, 7, 8, 6}, 9, true};
+  cap.monitor.entries[1].dec = {{9, 10, 11, 12, 17}, 13, true};
+  cap.monitor.entries[2].inc = {{14, 15, 16, 17, 6}, 18, true};
+  cap.monitor.entries[2].dec = {{19, 20, 21, 22, 6}, 23, true};
+  return cap;
+}
+
+// The archive's DQ-capture block payload, byte for byte as the archive
+// writer emits it (the v1 golden archive holds no DQ blocks, so nothing
+// else pins it).
+TEST(RegisterRecords, DqCapturePayloadBytesArePinned) {
+  const std::vector<std::uint8_t> pinned = {
+      0x00, 0x00, 0x00, 0x03, 0x0a, 0x00, 0x00, 0x01, 0x0a, 0x00, 0x00, 0x02,
+      0x10, 0x92, 0x00, 0x50, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0f, 0x42,
+      0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x13, 0x12, 0xd0, 0x00, 0x00, 0x03,
+      0x09, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x13, 0x12, 0xd0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x01, 0x00,
+      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x03, 0x00, 0x04, 0x11,
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x13, 0x12, 0xd0, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x03, 0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x06, 0x00, 0x07,
+      0x00, 0x08, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x02,
+      0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x0b, 0x00, 0x0c,
+      0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0d, 0x03, 0x00, 0x00,
+      0x00, 0x0e, 0x00, 0x00, 0x00, 0x0f, 0x00, 0x10, 0x00, 0x11, 0x06, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x00, 0x13, 0x00,
+      0x00, 0x00, 0x14, 0x00, 0x15, 0x00, 0x16, 0x06, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x17};
+  const DqCapture cap = hand_built_capture();
+  std::vector<std::uint8_t> buf;
+  put_dq_capture(buf, cap);
+  EXPECT_EQ(buf, pinned);
+
+  wire::ByteReader r(pinned);
+  const DqCapture back = get_dq_capture(r);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(back.notification.victim_flow, cap.notification.victim_flow);
+  EXPECT_EQ(back.notification.deq_timestamp, cap.notification.deq_timestamp);
+  EXPECT_EQ(back.notification.enq_qdepth, cap.notification.enq_qdepth);
+  ASSERT_EQ(back.windows.size(), 2u);
+  EXPECT_EQ(back.windows[0][1].cycle_id, cap.windows[0][1].cycle_id);
+  EXPECT_EQ(back.monitor.top, cap.monitor.top);
+  EXPECT_EQ(back.monitor.entries[2].dec.seq, 23u);
 }
 
 TEST(RegisterRecordsErrors, FileIoErrorsAreTyped) {

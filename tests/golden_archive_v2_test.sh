@@ -6,7 +6,9 @@
 # records rebuilt from the same trace with the same parameters. On top of
 # that: compaction must actually shrink the cold bytes, the indexed
 # `--as-of` seek must byte-match the forced full scan, and `--strict` must
-# still exit 3 when a v2 tail is torn.
+# still exit 3 when a v2 tail is torn. Step 0 pins the writer itself: the
+# command below must reproduce both fixture segments byte for byte (the
+# segment header and the window, monitor and calibration blocks).
 #
 # Regenerating the fixture (only after a deliberate v1 format change —
 # which should never happen; v1 is frozen):
@@ -53,6 +55,17 @@ ask() { # ask <archive-dir> <out-file> [extra pq_query args...]
   "$TOOLS_DIR/pq_query" "$dir" monitor 0 1000000 "$@" \
     | sed 1d >> "$out"
 }
+
+# 0. Today's v1 writer reproduces the committed fixture byte for byte.
+"$TOOLS_DIR/pq_replay" "$TRACE" --batch 256 "${PARAMS[@]}" \
+  --archive-dir "$WORK/regen" --archive-format 1 \
+  --archive-segment-bytes 196608 --archive-fsync segment > /dev/null
+for seg in seg-000000.pqs seg-000001.pqs; do
+  cmp "$FIXTURE/port-0/$seg" "$WORK/regen/port-0/$seg" \
+    || { echo "regenerated v1 $seg differs from the fixture" >&2; exit 1; }
+done
+[[ "$(find "$WORK/regen" -name 'seg-*.pqs' | wc -l)" -eq 2 ]] \
+  || { echo "regenerated v1 archive has extra segments" >&2; exit 1; }
 
 # 1. The committed v1-only chain answers like pq_offline.
 ask "$FIXTURE" "$WORK/v1.txt"

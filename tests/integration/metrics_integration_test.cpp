@@ -49,8 +49,6 @@ control::ShardedSystem::Config system_config() {
   return cfg;
 }
 
-#if PQ_METRICS_ENABLED
-
 TEST(MetricsIntegration, TotalsMatchTraceGroundTruth) {
   const auto packets = workload();
   control::ShardedSystem sys(system_config());
@@ -121,18 +119,6 @@ TEST(MetricsIntegration, ReplayCollectorMatchesPipelineCounters) {
             full.counter_value("pq_control_polls_total"));
   EXPECT_FALSE(replay.contains("pq_sim_packets_enqueued_total"));
 }
-
-#else  // !PQ_METRICS_ENABLED
-
-TEST(MetricsIntegration, OffBuildSerializesEmptyRegistry) {
-  const auto packets = workload();
-  control::ShardedSystem sys(system_config());
-  sys.run(packets, 2);
-  const auto reg = control::collect_system_metrics(sys);
-  EXPECT_EQ(reg.to_json(), "{\"metrics\":[]}\n");
-}
-
-#endif  // PQ_METRICS_ENABLED
 
 }  // namespace
 }  // namespace pq

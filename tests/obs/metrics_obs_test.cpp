@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#if PQ_METRICS_ENABLED
-
 namespace pq::obs {
 namespace {
 
@@ -305,19 +303,3 @@ TEST(RegistryTest, PrometheusExpositionShape) {
 
 }  // namespace
 }  // namespace pq::obs
-
-#else  // !PQ_METRICS_ENABLED
-
-// The OFF build still compiles this test binary; the stub API must accept
-// the same call shapes and return zeros.
-TEST(MetricsStubTest, StubsAreInertButCallable) {
-  pq::obs::MetricsRegistry reg;
-  reg.counter("pq_x_total").inc(5);
-  reg.gauge("pq_x_depth").set_max(9);
-  reg.histogram("pq_x_ns").observe(123);
-  EXPECT_EQ(reg.size(), 0u);
-  EXPECT_EQ(reg.counter_value("pq_x_total"), 0u);
-  EXPECT_EQ(reg.to_json(), "{\"metrics\":[]}\n");
-}
-
-#endif  // PQ_METRICS_ENABLED

@@ -349,9 +349,12 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, ArchiveRecoveryProperty,
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(1, 2)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "v" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& param_info) {
+      std::string name = "seed";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "v";
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 }  // namespace

@@ -171,8 +171,10 @@ TEST_P(ArchiveSeek, IndexedSeekMatchesFullScanEverywhere) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, ArchiveSeek, ::testing::Values(1, 2),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "v" + std::to_string(info.param);
+                         [](const ::testing::TestParamInfo<int>& param_info) {
+                           std::string name = "v";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -71,6 +71,27 @@ control::CalibrationRecord make_calibration(Timestamp taken_at, double z0) {
   return cal;
 }
 
+TEST(ArchiveStore, SegmentHeaderWithUnusableLayoutIsRefused) {
+  // A CRC-valid header whose layout core::TtsLayout refuses decodes as a
+  // bad header, like a torn one, so no reader builds a layout from it.
+  store::SegmentHeader header;
+  header.port = 3;
+  header.segment_index = 7;
+  std::vector<std::uint8_t> buf;
+  store::encode_segment_header(buf, header);
+  store::SegmentHeader back;
+  std::size_t consumed = 0;
+  ASSERT_TRUE(store::decode_segment_header(buf, back, consumed));
+  EXPECT_EQ(consumed, buf.size());
+  EXPECT_EQ(back.segment_index, 7u);
+
+  header.window_params.k = 0;
+  buf.clear();
+  store::encode_segment_header(buf, header);
+  EXPECT_FALSE(store::decode_segment_header(buf, back, consumed));
+  EXPECT_FALSE(store::scan_segment_bytes(buf, 3).header_ok);
+}
+
 TEST(ArchiveStore, CleanRoundtripPreservesEveryBlock) {
   const TempDir dir;
   store::ArchiveOptions opts;

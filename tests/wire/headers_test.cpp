@@ -124,5 +124,23 @@ TEST(ByteReader, OverrunSetsNotOk) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(ByteReader, ShortReadConsumesTheWholeU16sThatFit) {
+  // A wide read past the end takes the 16-bit halves that fit, then fails;
+  // offset() and remaining() after the failure follow from that.
+  const std::vector<std::uint8_t> three{1, 2, 3};
+  ByteReader r32(three);
+  EXPECT_EQ(r32.u32(), 0x01020000u);
+  EXPECT_FALSE(r32.ok());
+  EXPECT_EQ(r32.offset(), 2u);
+  EXPECT_EQ(r32.u8(), 0u);  // nothing reads after a failure
+  EXPECT_EQ(r32.remaining(), 1u);
+
+  const std::vector<std::uint8_t> seven{1, 2, 3, 4, 5, 6, 7};
+  ByteReader r64(seven);
+  EXPECT_EQ(r64.u64(), 0x0102030405060000ull);
+  EXPECT_FALSE(r64.ok());
+  EXPECT_EQ(r64.offset(), 6u);
+}
+
 }  // namespace
 }  // namespace pq::wire

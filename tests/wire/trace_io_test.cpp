@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 namespace pq::wire {
@@ -83,6 +84,22 @@ TEST(TraceIo, FileRoundTrip) {
 
 TEST(TraceIo, MissingFileThrows) {
   EXPECT_THROW(read_trace_file("/nonexistent/pq.bin"), std::runtime_error);
+}
+
+// Pins the record codec: decoding the committed fixture and encoding it
+// again reproduces the file byte for byte.
+TEST(TraceIo, GoldenTraceReencodesByteForByte) {
+  std::ifstream in(std::string(PQ_TEST_DATA_DIR) + "/golden_burst.pqt",
+                   std::ios::binary);
+  ASSERT_TRUE(in);
+  const std::string original((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  std::istringstream is(original);
+  const auto recs = read_trace(is);
+  EXPECT_EQ(recs.size(), 13346u);
+  std::ostringstream os;
+  write_trace(os, recs);
+  EXPECT_TRUE(os.str() == original);
 }
 
 }  // namespace

@@ -9,9 +9,10 @@
 // Queries ride control::QueryClient — idempotent request IDs, retries with
 // capped backoff, CRC-verified responses — over a unix-socket transport
 // that reconnects per attempt (a daemon mid-restart just costs a retry).
-// The windows/monitor output bodies are byte-identical to pq_query over
-// the same data; only the first header line differs, so tests compare
-// with `sed 1d` exactly like the golden archive test.
+// The windows/monitor output bodies come from control/answer_printer.h, so
+// they are byte-identical to pq_query over the same data; only the first
+// header line differs, so tests compare with `sed 1d` exactly like the
+// golden archive test.
 #include <unistd.h>
 
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "control/answer_printer.h"
 #include "control/query_client.h"
 #include "serve/socket_server.h"
 
@@ -136,22 +138,9 @@ int main(int argc, char** argv) {
               resp.status == control::QueryStatus::kOk ? "ok" : "partial",
               resp.confidence, result.attempts);
   if (mode == "windows") {
-    std::printf("\nper-flow packet counts over [%llu, %llu) ns "
-                "(%zu flows):\n",
-                static_cast<unsigned long long>(req.t1),
-                static_cast<unsigned long long>(req.t2),
-                resp.counts.size());
-    for (const auto& [flow, n] : core::top_k_flows(resp.counts, top)) {
-      std::printf("  %-44s %10.1f\n", to_string(flow).c_str(), n);
-    }
+    control::print_windows_answer(req.t1, req.t2, resp.counts, top);
   } else {
-    std::printf("\noriginal culprits near t=%llu ns (%zu entries):\n",
-                static_cast<unsigned long long>(req.t1),
-                resp.culprits.size());
-    const auto counts = core::culprit_counts(resp.culprits);
-    for (const auto& [flow, n] : core::top_k_flows(counts, 10)) {
-      std::printf("  %-44s %10.0f packets\n", to_string(flow).c_str(), n);
-    }
+    control::print_monitor_answer(req.t1, resp.culprits);
   }
   return 0;
 }

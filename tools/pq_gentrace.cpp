@@ -71,14 +71,15 @@ int run_topology_mode(int argc, char** argv, const std::string& out_prefix,
       arg_double(argc, argv, "--flows", 4.0, kFirstOption));
   const double gbps = arg_double(argc, argv, "--gbps", 0.5, kFirstOption);
 
+  const auto num_hosts = static_cast<std::uint32_t>(topo.hosts.size());
   for (const net::HostConfig& src : topo.hosts) {
     std::vector<wire::TelemetryRecord> records;
     std::uint64_t next_id = 0;
     for (std::uint32_t f = 0; f < flows_per_host; ++f) {
       // A cross-rack destination, cycling over the other racks' hosts.
-      std::uint32_t dst = (src.id + 1 + f) % topo.hosts.size();
+      std::uint32_t dst = (src.id + 1 + f) % num_hosts;
       while (topo.hosts[dst].attach_switch == src.attach_switch) {
-        dst = (dst + 1) % topo.hosts.size();
+        dst = (dst + 1) % num_hosts;
       }
       // Pin consecutive flows to distinct members of the equal-cost set.
       const auto& set = topo.route_ports(src.attach_switch, dst);

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <string>
 
+#include "control/answer_printer.h"
 #include "control/register_records.h"
 
 int main(int argc, char** argv) {
@@ -54,25 +55,13 @@ int main(int argc, char** argv) {
         top = static_cast<std::size_t>(std::atoi(argv[i + 1]));
       }
     }
-    const auto counts =
+    const auto answer =
         control::offline_query_time_windows(records, port, t1, t2);
-    std::printf("\nper-flow packet counts over [%llu, %llu) ns "
-                "(%zu flows):\n",
-                static_cast<unsigned long long>(t1),
-                static_cast<unsigned long long>(t2), counts.size());
-    for (const auto& [flow, n] : core::top_k_flows(counts, top)) {
-      std::printf("  %-44s %10.1f\n", to_string(flow).c_str(), n);
-    }
+    control::print_windows_answer(t1, t2, answer.counts, top);
   } else if (mode == "monitor") {
     const auto t = static_cast<Timestamp>(std::atoll(argv[4]));
-    const auto culprits =
-        control::offline_query_queue_monitor(records, port, t);
-    std::printf("\noriginal culprits near t=%llu ns (%zu entries):\n",
-                static_cast<unsigned long long>(t), culprits.size());
-    const auto counts = core::culprit_counts(culprits);
-    for (const auto& [flow, n] : core::top_k_flows(counts, 10)) {
-      std::printf("  %-44s %10.0f packets\n", to_string(flow).c_str(), n);
-    }
+    control::print_monitor_answer(
+        t, control::offline_query_queue_monitor(records, port, t));
   } else {
     std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
     return 2;

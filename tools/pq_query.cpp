@@ -23,8 +23,9 @@
 // survivor against its uninterrupted oracle.
 //
 // The windows/monitor output bodies are byte-identical to pq_offline over
-// the same span (both run control::offline_query_*); only the first header
-// line differs. tests/golden_archive_test.sh relies on that.
+// the same span (both run control::offline_query_* and print through
+// control/answer_printer.h); only the first header line differs.
+// tests/golden_archive_test.sh relies on that.
 //
 // `blocks` prints one canonical line per recovered block (kind, partition,
 // time span, payload length and CRC) — a block-level fingerprint of the
@@ -44,6 +45,7 @@
 #include <string>
 
 #include "common/hash.h"
+#include "control/answer_printer.h"
 #include "store/archive_reader.h"
 
 int main(int argc, char** argv) {
@@ -190,23 +192,12 @@ int main(int argc, char** argv) {
         top = static_cast<std::size_t>(std::atoi(argv[i + 1]));
       }
     }
-    const auto counts = reader->query_time_windows(port, t1, t2, 0, as_of);
-    std::printf("\nper-flow packet counts over [%llu, %llu) ns "
-                "(%zu flows):\n",
-                static_cast<unsigned long long>(t1),
-                static_cast<unsigned long long>(t2), counts.size());
-    for (const auto& [flow, n] : core::top_k_flows(counts, top)) {
-      std::printf("  %-44s %10.1f\n", to_string(flow).c_str(), n);
-    }
+    control::print_windows_answer(
+        t1, t2, reader->query_time_windows(port, t1, t2, 0, as_of), top);
   } else if (mode == "monitor") {
     const auto t = static_cast<Timestamp>(std::atoll(argv[4]));
-    const auto culprits = reader->query_queue_monitor(port, t, 0, as_of);
-    std::printf("\noriginal culprits near t=%llu ns (%zu entries):\n",
-                static_cast<unsigned long long>(t), culprits.size());
-    const auto counts = core::culprit_counts(culprits);
-    for (const auto& [flow, n] : core::top_k_flows(counts, 10)) {
-      std::printf("  %-44s %10.0f packets\n", to_string(flow).c_str(), n);
-    }
+    control::print_monitor_answer(
+        t, reader->query_queue_monitor(port, t, 0, as_of));
   } else {
     std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
     return 2;
