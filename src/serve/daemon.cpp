@@ -67,7 +67,6 @@ Daemon::Daemon(DaemonConfig cfg)
     if (cfg_.archive_segment_bytes > 0) {
       aopts.segment_bytes = cfg_.archive_segment_bytes;
     }
-    aopts.format_version = cfg_.archive_format;
     archive_.emplace(aopts);
     archive_->attach(pipeline_, *analysis_, shard_faults_.get());
   }

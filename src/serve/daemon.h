@@ -57,7 +57,6 @@ struct DaemonConfig {
   std::uint32_t retain_segments = 0;  ///< 0 = keep everything
   std::uint64_t archive_segment_bytes = 0;  ///< 0 = store default
   store::FsyncPolicy archive_fsync = store::FsyncPolicy::kNone;
-  std::uint16_t archive_format = store::kFormatVersionV2;
   /// Startup recovery scan workers (whole-port jobs; byte-identical to the
   /// sequential scan). 0 = one per hardware thread, capped by port count.
   unsigned recovery_threads = 0;

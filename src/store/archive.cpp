@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -13,7 +12,7 @@
 #include "control/sharded_analysis.h"
 #include "core/port_pipeline.h"
 #include "faults/sharded_faults.h"
-#include "store/block_codec_v2.h"
+#include "store/segment_chain.h"
 #include "wire/bytes.h"
 
 namespace pq::store {
@@ -242,24 +241,6 @@ std::string segment_path(const std::string& archive_dir, std::uint32_t port,
   return port_dir(archive_dir, port) + "/" + name;
 }
 
-bool parse_segment_filename(const std::string& filename,
-                            std::uint32_t& index) {
-  if (filename.rfind("seg-", 0) != 0 || filename.size() <= 8 ||
-      filename.substr(filename.size() - 4) != ".pqs") {
-    return false;
-  }
-  const std::string digits = filename.substr(4, filename.size() - 8);
-  if (digits.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    if (v > 0xFFFFFFFFull) return false;
-  }
-  index = static_cast<std::uint32_t>(v);
-  return true;
-}
-
 // --- ArchiveWriter --------------------------------------------------------
 
 ArchiveWriter::ArchiveWriter(std::uint32_t port,
@@ -272,16 +253,16 @@ ArchiveWriter::ArchiveWriter(std::uint32_t port,
       opts_(std::move(opts)),
       write_faults_(write_faults),
       t_set_(core::TtsLayout(params).set_period_ns()) {
-  if (opts_.format_version != kFormatVersionV1 &&
-      opts_.format_version != kFormatVersionV2) {
+  if (opts_.format_version != kFormatVersionV2) {
     throw std::runtime_error("pq::store: unsupported archive format version " +
-                             std::to_string(opts_.format_version));
+                             std::to_string(opts_.format_version) +
+                             " (the writer writes v2 only)");
   }
   // The header is fixed-width, so its size is a constant the enqueue-time
   // rollover plan can rely on before any segment exists.
   std::vector<std::uint8_t> probe;
   encode_segment_header(
-      probe, {port_, 0, params_, monitor_levels_, opts_.format_version});
+      probe, {port_, 0, params_, monitor_levels_, kFormatVersionV2});
   fixed_header_bytes_ = probe.size();
   if (opts_.resume) resume_from_disk();
 }
@@ -332,32 +313,11 @@ void ArchiveWriter::enqueue(BlockKind kind, std::uint32_t partition,
                             std::uint64_t t_lo, std::uint64_t t_hi,
                             std::span<const std::uint8_t> payload) {
   if (dead_ || closed_) return;
-  const bool v2 = opts_.format_version >= kFormatVersionV2;
-  const std::pair<std::uint8_t, std::uint32_t> key{
-      static_cast<std::uint8_t>(kind), partition};
-
   PendingBlock block;
   block.logical_bytes = kBlockOverheadBytes + payload.size();
   std::vector<std::uint8_t> enc;
-  if (v2) {
-    std::vector<std::uint8_t> body;
-    const auto prev = delta_prev_.find(key);
-    if (planned_open_ && prev != delta_prev_.end() &&
-        encode_delta_payload(kind, prev->second, payload, body) &&
-        body.size() < payload.size()) {
-      enc.reserve(body.size() + 1);
-      enc.push_back(kEncodingDelta);
-      enc.insert(enc.end(), body.begin(), body.end());
-      block.is_delta = true;
-    } else {
-      enc.reserve(payload.size() + 1);
-      enc.push_back(kEncodingRaw);
-      enc.insert(enc.end(), payload.begin(), payload.end());
-    }
-  }
-  block.frame = encode_block(kind, partition, t_lo, t_hi,
-                             v2 ? std::span<const std::uint8_t>(enc)
-                                : payload);
+  block.is_delta = codec_.encode(kind, partition, payload, enc);
+  block.frame = encode_block(kind, partition, t_lo, t_hi, enc);
 
   // Rollover is planned here, mirroring the append-side arithmetic over
   // queued-but-unwritten frames, because a block that opens a segment must
@@ -367,40 +327,26 @@ void ArchiveWriter::enqueue(BlockKind kind, std::uint32_t partition,
       (planned_block_bytes_ > 0 &&
        fixed_header_bytes_ + planned_block_bytes_ + block.frame.size() >
            opts_.segment_bytes);
-  if (block.opens_segment && block.is_delta) {
-    enc.clear();
-    enc.push_back(kEncodingRaw);
-    enc.insert(enc.end(), payload.begin(), payload.end());
-    block.is_delta = false;
-    block.frame = encode_block(kind, partition, t_lo, t_hi, enc);
+  if (block.opens_segment) {
+    codec_.reset();
+    planned_block_bytes_ = 0;
+    if (block.is_delta) {
+      block.is_delta = codec_.encode(kind, partition, payload, enc);
+      block.frame = encode_block(kind, partition, t_lo, t_hi, enc);
+    }
   }
   block.meta = {kind, partition, t_lo, t_hi, 0,
                 static_cast<std::uint32_t>(block.frame.size())};
 
-  if (queued_bytes_ + block.frame.size() > opts_.queue_bytes) {
-    if (opts_.queue == QueuePolicy::kDropNewest) {
-      // Plan and delta bases stay untouched: the persisted stream simply
-      // never contains this block.
-      ++stats_.blocks_dropped;
-      return;
-    }
-    flush();  // backpressure: the producer stalls while the queue drains
-  }
   const std::uint64_t frame_bytes = block.frame.size();
   queued_bytes_ += frame_bytes;
   if (queued_bytes_ > stats_.queue_peak_bytes) {
     stats_.queue_peak_bytes = queued_bytes_;
   }
   queue_.push_back(std::move(block));
-  if (queue_.back().opens_segment) {
-    planned_block_bytes_ = 0;
-    if (v2) delta_prev_.clear();
-  }
   planned_open_ = true;
   planned_block_bytes_ += frame_bytes;
-  if (v2 && kind != BlockKind::kDqCapture) {
-    delta_prev_[key].assign(payload.begin(), payload.end());
-  }
+  codec_.advance(kind, partition, payload);
   if (queued_bytes_ >= opts_.flush_watermark_bytes) flush();
 }
 
@@ -460,88 +406,65 @@ void ArchiveWriter::append_block(PendingBlock& block) {
   ++stats_.blocks_appended;
   stats_.bytes_appended += block.frame.size();
   stats_.logical_bytes += block.logical_bytes;
-  if (opts_.format_version >= kFormatVersionV2) {
-    if (block.is_delta) {
-      ++stats_.blocks_delta;
-    } else {
-      ++stats_.blocks_raw;
-    }
+  if (block.is_delta) {
+    ++stats_.blocks_delta;
+  } else {
+    ++stats_.blocks_raw;
   }
   if (opts_.fsync == FsyncPolicy::kPerBlock) sync_file();
 }
 
-void ArchiveWriter::resume_from_disk() {
-  namespace fs = std::filesystem;
-  const std::string dir = port_dir(opts_.dir, port_);
+namespace {
+
+/// Truncates the file a chain walk ended on to its valid prefix and appends
+/// the footer a clean close would have written, in the segment's own
+/// version. The sealed segment holds exactly the blocks ArchiveReader
+/// recovers from the damaged file, so the repair is content-neutral.
+bool seal_valid_prefix(const ChainSegment& seg, FsyncPolicy policy) {
   std::error_code ec;
-  if (!fs::is_directory(dir, ec)) return;  // fresh port, nothing to repair
+  std::filesystem::resize_file(seg.file->path, seg.valid_bytes, ec);
+  if (ec) return false;
+  std::FILE* f = std::fopen(seg.file->path.c_str(), "ab");
+  if (f == nullptr) return false;
+  const auto& entries = seg.scan.entries;
+  const std::vector<IndexEntry> kept(
+      entries.begin(),
+      entries.begin() + static_cast<std::ptrdiff_t>(seg.blocks.size()));
+  const auto footer = encode_footer(seg.valid_bytes - seg.scan.header_bytes,
+                                    kept, seg.scan.header.version);
+  const bool ok =
+      std::fwrite(footer.data(), 1, footer.size(), f) == footer.size();
+  if (policy != FsyncPolicy::kNone) {
+    std::fflush(f);
+    ::fsync(::fileno(f));
+  }
+  std::fclose(f);
+  return ok;
+}
 
-  std::vector<std::pair<std::uint32_t, std::string>> segments;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    std::uint32_t index = 0;
-    if (entry.is_regular_file() &&
-        parse_segment_filename(entry.path().filename().string(), index)) {
-      segments.emplace_back(index, entry.path().string());
-    }
-  }
-  std::sort(segments.begin(), segments.end());
+}  // namespace
 
-  // Walk the chain exactly like the reader would: contiguous indices from
-  // the first file, every segment clean. The first deviation is the torn
-  // tail — repair it in place, then delete everything after it (the reader
-  // could never have reached those bytes anyway).
-  std::size_t keep = 0;
-  bool repaired = false;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const bool contiguous =
-        i == 0 || segments[i].first == segments[i - 1].first + 1;
-    std::vector<std::uint8_t> data;
-    {
-      std::ifstream in(segments[i].second, std::ios::binary);
-      if (in) data.assign(std::istreambuf_iterator<char>(in), {});
-    }
-    SegmentScan scan = scan_segment_bytes(data, port_);
-    const bool index_ok =
-        scan.header_ok && scan.header.segment_index == segments[i].first;
-    if (!contiguous || !index_ok) break;  // this file and the rest go
-    if (scan.footer_ok) {
-      keep = i + 1;
-      continue;
-    }
-    // Torn tail: truncate to the CRC-valid prefix and write the footer the
-    // crash withheld. The surviving blocks are exactly what ArchiveReader
-    // recovers from the torn file, so the repair is content-neutral.
-    fs::resize_file(segments[i].second,
-                    scan.header_bytes + scan.blocks_bytes, ec);
-    if (ec) break;
-    std::FILE* f = std::fopen(segments[i].second.c_str(), "ab");
-    if (f == nullptr) break;
-    const auto footer =
-        encode_footer(scan.blocks_bytes, scan.entries, scan.header.version);
-    const bool ok =
-        std::fwrite(footer.data(), 1, footer.size(), f) == footer.size();
-    if (opts_.fsync != FsyncPolicy::kNone) {
-      std::fflush(f);
-      ::fsync(::fileno(f));
-    }
-    std::fclose(f);
-    if (!ok) break;
-    ++stats_.tail_repairs;
-    repaired = true;
-    keep = i + 1;
-    break;  // nothing after a repaired segment is reachable
-  }
-  if (!repaired && keep < segments.size()) {
-    // The chain broke on an unrepairable file (bad header or index gap);
-    // count it like a repair so operators can see the restart discarded it.
-    ++stats_.tail_repairs;
-  }
-  for (std::size_t i = keep; i < segments.size(); ++i) {
-    fs::remove(segments[i].second, ec);
-  }
-  for (std::size_t i = 0; i < keep; ++i) {
-    live_segments_.push_back(segments[i].first);
-  }
+void ArchiveWriter::resume_from_disk() {
+  const std::vector<SegmentFile> files = list_segment_files(opts_.dir, port_);
+  std::error_code ec;
+  const auto unreachable =
+      walk_segment_chain(port_, files, [&](ChainSegment& seg) {
+        if (seg.clean()) {
+          live_segments_.push_back(seg.file->index);
+          return true;
+        }
+        // The chain ends here. A file with no surviving block is deleted
+        // like the unreachable ones: sealing it adds nothing, and a sealed
+        // empty first segment would show a port the reader did not report.
+        ++stats_.tail_repairs;
+        if (!seg.blocks.empty() && seal_valid_prefix(seg, opts_.fsync)) {
+          live_segments_.push_back(seg.file->index);
+        } else {
+          std::filesystem::remove(seg.file->path, ec);
+        }
+        return true;
+      });
+  for (const auto& file : unreachable) std::filesystem::remove(file.path, ec);
   next_segment_index_ =
       live_segments_.empty() ? 0 : live_segments_.back() + 1;
 }
@@ -572,7 +495,7 @@ void ArchiveWriter::open_segment() {
   }
   std::vector<std::uint8_t> header;
   encode_segment_header(header, {port_, next_segment_index_, params_,
-                                 monitor_levels_, opts_.format_version});
+                                 monitor_levels_, kFormatVersionV2});
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     throw std::runtime_error("pq::store: segment header write failed");
   }
@@ -587,7 +510,7 @@ void ArchiveWriter::open_segment() {
 void ArchiveWriter::close_segment() {
   if (file_ == nullptr) return;
   const auto footer =
-      encode_footer(segment_block_bytes_, segment_index_, opts_.format_version);
+      encode_footer(segment_block_bytes_, segment_index_, kFormatVersionV2);
   if (std::fwrite(footer.data(), 1, footer.size(), file_) != footer.size()) {
     throw std::runtime_error("pq::store: segment footer write failed");
   }
@@ -672,7 +595,6 @@ WriterStats Archive::stats() const {
     sum.segments_closed += s.segments_closed;
     sum.flushes += s.flushes;
     sum.fsyncs += s.fsyncs;
-    sum.blocks_dropped += s.blocks_dropped;
     sum.queue_peak_bytes = std::max(sum.queue_peak_bytes, s.queue_peak_bytes);
     sum.torn_writes += s.torn_writes;
     sum.segments_retired += s.segments_retired;
@@ -699,9 +621,6 @@ void export_writer_metrics(obs::MetricsRegistry& reg, const WriterStats& s) {
   reg.counter("pq_store_flushes_total", "append-queue drains").inc(s.flushes);
   reg.counter("pq_store_fsyncs_total", "fsync calls per the durability policy")
       .inc(s.fsyncs);
-  reg.counter("pq_store_blocks_dropped_total",
-              "blocks dropped at the full queue (drop-newest policy)")
-      .inc(s.blocks_dropped);
   reg.counter("pq_store_torn_writes_total",
               "injected mid-append crashes (faults layer)")
       .inc(s.torn_writes);

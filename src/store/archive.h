@@ -6,9 +6,9 @@
 // shard subscribes (as a control::TelemetrySink) to that shard's verified
 // snapshots, data-plane captures and per-poll calibrations, frames each
 // event as a CRC32-guarded block and appends it to fixed-capacity segment
-// files. Writes are buffered in a bounded queue with an explicit policy
-// (backpressure or drop-newest) and made durable per the configured fsync
-// policy.
+// files in the v2 format. Writes are buffered in a queue that flushes at a
+// watermark, stalling the producer while it drains, and made durable per
+// the configured fsync policy.
 //
 // Determinism contract: a writer runs entirely on its shard's thread and
 // consumes a shard-local, schedule-independent event stream, so the
@@ -27,6 +27,7 @@
 #include "control/telemetry_sink.h"
 #include "obs/metrics.h"
 #include "store/archive_format.h"
+#include "store/block_codec_v2.h"
 
 namespace pq::core {
 class ShardedPipeline;
@@ -105,9 +106,9 @@ class ArchiveWriter final : public control::TelemetrySink {
   void open_segment();
   void close_segment();
   void sync_file();
-  /// ArchiveOptions::resume: repairs the port's surviving chain (truncate
-  /// the torn tail to its CRC-valid prefix + write the missing footer, drop
-  /// unreachable later segments) and positions the writer after it.
+  /// ArchiveOptions::resume: repairs the file the port's chain walk ends
+  /// on, deletes the unreachable later segments and positions the writer
+  /// after the surviving chain.
   void resume_from_disk();
   /// ArchiveOptions::retain_segments: deletes the oldest on-disk segments
   /// beyond the retention cap.
@@ -129,15 +130,12 @@ class ArchiveWriter final : public control::TelemetrySink {
 
   /// Enqueue-time mirror of the append-side segment accounting, so the
   /// rollover decision (and therefore the keyframe decision) can be made
-  /// before the frame is queued. Tracks only blocks actually queued, so
-  /// drop-newest never desynchronizes the plan from the disk state.
+  /// before the frame is queued.
   std::uint64_t fixed_header_bytes_ = 0;
   std::uint64_t planned_block_bytes_ = 0;
   bool planned_open_ = false;
-  /// v2 delta bases: last queued logical payload per (kind, partition),
-  /// cleared at every planned segment boundary (per-segment keyframes).
-  std::map<std::pair<std::uint8_t, std::uint32_t>, std::vector<std::uint8_t>>
-      delta_prev_;
+  /// Delta bases of the planned segment, reset at every planned boundary.
+  SegmentPayloadCodec codec_;
 
   std::vector<PendingBlock> queue_;
   std::uint64_t queued_bytes_ = 0;

@@ -34,9 +34,10 @@ inline constexpr std::uint32_t kFooterMagic = 0x50514654;   // "PQFT"
 inline constexpr std::uint32_t kEndMagic = 0x50514531;      // "PQE1"
 /// v1: payloads are the logical snapshot bytes verbatim. v2: payloads carry
 /// an encoding tag + delta/varint compression (block_codec_v2.h) and the
-/// footer grows a sparse time index. Readers dispatch per segment, so
-/// mixed-version chains (v1 head, v2 tail after an upgrade — or the reverse
-/// after compaction recodes cold segments) read seamlessly.
+/// footer grows a sparse time index. Only v2 is written; v1 is frozen and
+/// read only. Readers dispatch per segment, so mixed-version chains (a v1
+/// head continued by a v2 writer, or a v2-recoded cold head in front of a
+/// v1 tail after compaction) read seamlessly.
 inline constexpr std::uint16_t kFormatVersionV1 = 1;
 inline constexpr std::uint16_t kFormatVersionV2 = 2;
 /// Default sampling stride of the sparse time index (one sample every N
@@ -143,43 +144,29 @@ enum class FsyncPolicy : std::uint8_t {
   kPerBlock = 2,    ///< fsync after every appended block
 };
 
-/// What happens when the in-memory append queue is full.
-enum class QueuePolicy : std::uint8_t {
-  /// Flush inline — the producer (the shard's poll loop) stalls until the
-  /// queue drains. Loses nothing; the default, and the only policy under
-  /// which the archive is a complete record of the telemetry stream.
-  kBackpressure = 0,
-  /// Drop the newest block and count it. Bounds producer latency at the
-  /// price of holes in history (still deterministic: whether a block is
-  /// dropped depends only on the shard-local stream, never on scheduling).
-  kDropNewest = 1,
-};
-
 struct ArchiveOptions {
   std::string dir;
   /// Target segment capacity; a segment rolls when the next block would
   /// push it past this (a single oversized block is still written whole).
   std::uint64_t segment_bytes = 1ull << 20;
-  /// In-memory append queue cap, and the fill level that triggers a flush.
-  std::uint64_t queue_bytes = 4ull << 20;
+  /// Fill level of the in-memory append queue that triggers a flush; the
+  /// producer (the shard's poll loop) stalls while it drains.
   std::uint64_t flush_watermark_bytes = 256ull << 10;
   FsyncPolicy fsync = FsyncPolicy::kNone;
-  QueuePolicy queue = QueuePolicy::kBackpressure;
   /// Keep at most this many segment files per port, deleting the oldest
   /// after every segment close (0 = unlimited). The surviving chain stays
   /// contiguous, it just no longer starts at index 0.
   std::uint32_t retain_segments = 0;
   /// Reopen an existing archive directory: on construction each writer
-  /// repairs its port's torn tail (truncate to the CRC-valid prefix, write
-  /// the missing footer, drop unreachable later segments) and continues
-  /// appending in a fresh segment after the highest surviving index. The
-  /// repair keeps exactly the prefix ArchiveReader would have recovered, so
-  /// restart never changes what queries can see.
+  /// walks its port's chain (segment_chain.h), truncates the file the chain
+  /// ends on to its valid prefix and writes the missing footer (a file with
+  /// no surviving block is deleted instead), deletes the unreachable later
+  /// segments, and continues appending in a fresh segment after the highest
+  /// surviving index. The repair keeps exactly the prefix ArchiveReader
+  /// would have recovered, so restart never changes what queries can see.
   bool resume = false;
-  /// On-disk segment format for newly opened segments. v2 (the default)
-  /// delta-compresses payloads and writes a sparse time index; v1 writes
-  /// logical payloads verbatim (kept for fixtures and downgrade paths).
-  /// Readers handle both, including mixed chains.
+  /// On-disk format of new segments. Only kFormatVersionV2 is accepted;
+  /// the writer throws for any other value.
   std::uint16_t format_version = kFormatVersionV2;
 };
 
@@ -191,7 +178,6 @@ struct WriterStats {
   std::uint64_t segments_closed = 0;
   std::uint64_t flushes = 0;
   std::uint64_t fsyncs = 0;
-  std::uint64_t blocks_dropped = 0;     ///< QueuePolicy::kDropNewest only
   std::uint64_t queue_peak_bytes = 0;   ///< high-watermark (merge: max)
   std::uint64_t torn_writes = 0;        ///< injected crashes (faults/)
   std::uint64_t segments_retired = 0;   ///< deleted by the retention policy
@@ -200,8 +186,8 @@ struct WriterStats {
   /// bytes). logical_bytes / bytes_appended is the compression ratio the
   /// perf_smoke baseline gates as archive_bytes_ratio_x.
   std::uint64_t logical_bytes = 0;
-  std::uint64_t blocks_delta = 0;  ///< v2 blocks that delta-compressed
-  std::uint64_t blocks_raw = 0;    ///< v2 keyframes + raw fallbacks
+  std::uint64_t blocks_delta = 0;  ///< blocks that delta-compressed
+  std::uint64_t blocks_raw = 0;    ///< keyframes + raw fallbacks
 };
 
 /// Reader-side counters from the recovery scan.
@@ -216,9 +202,8 @@ struct ReaderStats {
   std::uint64_t decode_errors = 0;
 };
 
-/// One segment file's trust-nothing scan result, shared by the reader's
-/// recovery pass and the writer's resume-time tail repair (so both always
-/// agree on exactly which prefix of a damaged segment survives).
+/// One segment file's trust-nothing CRC scan, as the segment-chain walk
+/// (segment_chain.h) takes it for every file it opens.
 struct SegmentScan {
   bool header_ok = false;
   SegmentHeader header;
@@ -235,12 +220,10 @@ struct SegmentScan {
 SegmentScan scan_segment_bytes(std::span<const std::uint8_t> data,
                                std::uint32_t expected_port);
 
-/// Filesystem layout helpers.
+/// Filesystem layout: the canonical names, the only ones the chain walk
+/// (segment_chain.h) accepts.
 std::string port_dir(const std::string& archive_dir, std::uint32_t port);
 std::string segment_path(const std::string& archive_dir, std::uint32_t port,
                          std::uint32_t segment_index);
-/// Parses the segment index out of a `seg-%06u.pqs` filename; returns false
-/// for foreign files.
-bool parse_segment_filename(const std::string& filename, std::uint32_t& index);
 
 }  // namespace pq::store

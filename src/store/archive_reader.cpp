@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
-#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "common/hash.h"
-#include "store/block_codec_v2.h"
 #include "wire/bytes.h"
 
 namespace pq::store {
@@ -17,12 +15,6 @@ namespace pq::store {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  return {std::istreambuf_iterator<char>(in), {}};
-}
 
 /// One port's complete scan outcome; workers fill these independently and
 /// the constructor merges them in ascending port order, so the parallel
@@ -33,144 +25,58 @@ struct PortScanResult {
   bool keep = false;
 };
 
-/// Decodes one CRC-valid frame payload to logical bytes per the segment's
-/// format version, maintaining the per-segment delta bases.
-BlockDecodeStatus decode_payload(
-    std::uint16_t version, BlockKind kind, std::uint32_t partition,
-    std::span<const std::uint8_t> payload,
-    std::map<std::pair<std::uint8_t, std::uint32_t>,
-             std::vector<std::uint8_t>>& bases,
-    std::vector<std::uint8_t>& logical) {
-  if (version < kFormatVersionV2) {
-    logical.assign(payload.begin(), payload.end());
-    return BlockDecodeStatus::kOk;
-  }
-  if (payload.empty() ||
-      (payload[0] != kEncodingRaw && payload[0] != kEncodingDelta)) {
-    return BlockDecodeStatus::kBadEncodingTag;
-  }
-  const std::pair<std::uint8_t, std::uint32_t> key{
-      static_cast<std::uint8_t>(kind), partition};
-  const auto body = payload.subspan(1);
-  if (payload[0] == kEncodingRaw) {
-    logical.assign(body.begin(), body.end());
-  } else {
-    const auto base = bases.find(key);
-    if (base == bases.end()) return BlockDecodeStatus::kMissingDeltaBase;
-    if (!decode_delta_payload(kind, base->second, body, logical)) {
-      return BlockDecodeStatus::kCorruptDelta;
-    }
-  }
-  if (kind != BlockKind::kDqCapture) bases[key] = logical;
-  return BlockDecodeStatus::kOk;
-}
-
-/// Scans one segment; returns true if it closed cleanly (valid footer
-/// consistent with the scan) and every block decoded, false if the port
-/// must stop here. A null `expected_index` marks the first file of the
-/// chain: any header index is accepted (retention may have pruned the
-/// head) and anchors the sequence.
-bool scan_segment(std::uint32_t port, const std::string& path,
-                  const std::uint32_t* expected_index, std::uint32_t stride,
-                  PortScanResult& out) {
-  const std::vector<std::uint8_t> data = read_file(path);
-  ++out.stats.segments_opened;
-  const std::span<const std::uint8_t> span(data);
-
-  const SegmentScan scan = scan_segment_bytes(span, port);
-  if (!scan.header_ok ||
-      (expected_index != nullptr &&
-       scan.header.segment_index != *expected_index)) {
-    out.stats.bytes_truncated += data.size();
-    return false;
-  }
-  if (expected_index == nullptr) out.rec.header = scan.header;
-  out.rec.last_index = scan.header.segment_index;
-
-  SegmentInfo info;
-  info.index = scan.header.segment_index;
-  info.version = scan.header.version;
-  info.footer_ok = scan.footer_ok;
-  info.index_samples = build_time_index(scan.entries, stride).size();
-  if (!scan.entries.empty()) {
-    info.t_lo_min = std::numeric_limits<std::uint64_t>::max();
-    for (const auto& e : scan.entries) {
-      info.t_lo_min = std::min(info.t_lo_min, e.t_lo);
-      info.t_hi_max = std::max(info.t_hi_max, e.t_hi);
-    }
-  }
-
-  // Delta bases reset per segment (per-segment keyframes), so a segment
-  // always decodes in isolation no matter what retention or compaction did
-  // to its neighbours.
-  std::map<std::pair<std::uint8_t, std::uint32_t>, std::vector<std::uint8_t>>
-      bases;
-  for (const auto& e : scan.entries) {
-    RecoveredBlock block;
-    block.kind = e.kind;
-    block.partition = e.partition;
-    block.t_lo = e.t_lo;
-    block.t_hi = e.t_hi;
-    const auto payload = span.subspan(e.offset + kBlockOverheadBytes - 4,
-                                      e.length - kBlockOverheadBytes);
-    const BlockDecodeStatus status = decode_payload(
-        scan.header.version, e.kind, e.partition, payload, bases,
-        block.payload);
-    if (status != BlockDecodeStatus::kOk) {
-      // CRC-valid but undecodable: the prefix ends right before this
-      // block, with a typed report instead of a silent hole.
-      out.rec.decode_error = {status, scan.header.segment_index,
-                              out.rec.blocks.size()};
-      ++out.stats.decode_errors;
-      out.stats.bytes_truncated += data.size() - e.offset;
-      info.bytes = e.offset;
-      out.rec.segments.push_back(info);
-      return false;
-    }
-    out.rec.blocks.push_back(std::move(block));
-    ++info.blocks;
-    ++out.stats.blocks_recovered;
-  }
-  info.bytes = scan.header_bytes + scan.blocks_bytes;
-  if (scan.footer_ok) info.bytes = data.size();
-  out.rec.segments.push_back(info);
-
-  if (scan.footer_ok) {
-    ++out.stats.footer_hits;
-    return true;
-  }
-  out.stats.bytes_truncated +=
-      data.size() - (scan.header_bytes + scan.blocks_bytes);
-  return false;
-}
-
-PortScanResult scan_port_files(std::uint32_t port,
-                               const std::vector<std::string>& segment_files,
-                               std::uint32_t stride) {
+PortScanResult scan_port(const std::string& dir, std::uint32_t port,
+                         std::uint32_t stride) {
   PortScanResult out;
-  bool have_header = false;
-  // The chain may start above index 0 when retention pruned old segments;
-  // the first file anchors the expected sequence, which must then stay
-  // contiguous (a gap means the middle of the stream is gone — everything
-  // after it is no longer a prefix and cannot be trusted).
-  std::uint32_t expected_index = 0;
-  for (std::size_t i = 0; i < segment_files.size(); ++i) {
-    if (!scan_segment(port, segment_files[i],
-                      have_header ? &expected_index : nullptr, stride, out)) {
-      // Torn or corrupt segment: everything after it is no longer a prefix
-      // of the written stream, so the port stops here.
-      ++out.stats.recoveries;
-      for (std::size_t j = i + 1; j < segment_files.size(); ++j) {
-        std::error_code ec;
-        const auto size = fs::file_size(segment_files[j], ec);
-        if (!ec) out.stats.bytes_truncated += size;
-      }
-      break;
-    }
-    have_header = true;
-    expected_index = out.rec.last_index + 1;
+  const std::vector<SegmentFile> files = list_segment_files(dir, port);
+  const auto unreachable =
+      walk_segment_chain(port, files, [&](ChainSegment& seg) {
+        ++out.stats.segments_opened;
+        out.stats.bytes_truncated += seg.file_bytes - seg.valid_bytes;
+        if (!seg.clean()) ++out.stats.recoveries;
+        if (!seg.scan.header_ok) return true;
+        const SegmentScan& scan = seg.scan;
+        // The first file's header is the register layout of last resort.
+        if (out.rec.segments.empty()) out.rec.header = scan.header;
+        out.rec.last_index = scan.header.segment_index;
+
+        SegmentInfo info;
+        info.index = scan.header.segment_index;
+        info.version = scan.header.version;
+        info.blocks = seg.blocks.size();
+        info.bytes = seg.valid_bytes;
+        info.footer_ok = scan.footer_ok;
+        info.index_samples = build_time_index(scan.entries, stride).size();
+        if (!scan.entries.empty()) {
+          info.t_lo_min = std::numeric_limits<std::uint64_t>::max();
+          for (const auto& e : scan.entries) {
+            info.t_lo_min = std::min(info.t_lo_min, e.t_lo);
+            info.t_hi_max = std::max(info.t_hi_max, e.t_hi);
+          }
+        }
+        out.rec.segments.push_back(info);
+
+        if (seg.decode_status != BlockDecodeStatus::kOk) {
+          // A typed report instead of a silent hole.
+          out.rec.decode_error = {seg.decode_status, info.index,
+                                  out.rec.blocks.size() + seg.blocks.size()};
+          ++out.stats.decode_errors;
+        }
+        if (seg.clean()) ++out.stats.footer_hits;
+        out.stats.blocks_recovered += seg.blocks.size();
+        std::move(seg.blocks.begin(), seg.blocks.end(),
+                  std::back_inserter(out.rec.blocks));
+        return true;
+      });
+  for (const auto& file : unreachable) {
+    std::error_code ec;
+    const auto size = fs::file_size(file.path, ec);
+    if (!ec) out.stats.bytes_truncated += size;
   }
-  out.keep = have_header || !out.rec.blocks.empty();
+
+  // A port reads as one once its first segment is clean or a block
+  // survives.
+  out.keep = out.stats.footer_hits > 0 || !out.rec.blocks.empty();
   if (out.keep) {
     for (const auto& b : out.rec.blocks) {
       if (b.kind == BlockKind::kWindowSnapshot) {
@@ -201,48 +107,21 @@ ArchiveReader::ArchiveReader(const std::string& dir, ReaderOptions opts)
   if (!fs::is_directory(dir, ec)) {
     throw std::runtime_error("pq::store: not an archive directory: " + dir);
   }
-  // Ports in ascending numeric order so the scan (and stats) are
-  // deterministic regardless of directory iteration order.
-  std::map<std::uint32_t, std::vector<std::string>> port_segments;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (!entry.is_directory() || name.rfind("port-", 0) != 0) continue;
-    std::uint32_t port = 0;
-    try {
-      port = static_cast<std::uint32_t>(std::stoul(name.substr(5)));
-    } catch (...) {
-      continue;  // foreign directory, not ours
-    }
-    auto& segments = port_segments[port];
-    for (const auto& seg : fs::directory_iterator(entry.path())) {
-      const std::string sname = seg.path().filename().string();
-      if (seg.is_regular_file() && sname.rfind("seg-", 0) == 0 &&
-          sname.size() > 4 && sname.substr(sname.size() - 4) == ".pqs") {
-        segments.push_back(seg.path().string());
-      }
-    }
-    // Zero-padded names: lexicographic order is segment order.
-    std::sort(segments.begin(), segments.end());
-  }
-
-  std::vector<std::pair<std::uint32_t, std::vector<std::string>>> jobs(
-      port_segments.begin(), port_segments.end());
-  std::vector<PortScanResult> results(jobs.size());
+  const std::vector<std::uint32_t> ports = list_ports(dir);
+  std::vector<PortScanResult> results(ports.size());
   const std::size_t workers = std::min<std::size_t>(
-      std::max(1u, opts_.threads), jobs.size());
+      std::max(1u, opts_.threads), ports.size());
   if (workers <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      results[i] = scan_port_files(jobs[i].first, jobs[i].second,
-                                   opts_.seek_index_stride);
+    for (std::size_t i = 0; i < ports.size(); ++i) {
+      results[i] = scan_port(dir, ports[i], opts_.seek_index_stride);
     }
   } else {
     // Whole-port work stealing: a port's chain is one job, so each result
     // slot is written by exactly one worker and merge order is fixed.
     std::atomic<std::size_t> next{0};
     const auto work = [&] {
-      for (std::size_t i; (i = next.fetch_add(1)) < jobs.size();) {
-        results[i] = scan_port_files(jobs[i].first, jobs[i].second,
-                                     opts_.seek_index_stride);
+      for (std::size_t i; (i = next.fetch_add(1)) < ports.size();) {
+        results[i] = scan_port(dir, ports[i], opts_.seek_index_stride);
       }
     };
     std::vector<std::thread> pool;
@@ -251,7 +130,7 @@ ArchiveReader::ArchiveReader(const std::string& dir, ReaderOptions opts)
     work();
     for (auto& t : pool) t.join();
   }
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  for (std::size_t i = 0; i < ports.size(); ++i) {
     auto& r = results[i];
     stats_.segments_opened += r.stats.segments_opened;
     stats_.footer_hits += r.stats.footer_hits;
@@ -259,7 +138,7 @@ ArchiveReader::ArchiveReader(const std::string& dir, ReaderOptions opts)
     stats_.blocks_recovered += r.stats.blocks_recovered;
     stats_.bytes_truncated += r.stats.bytes_truncated;
     stats_.decode_errors += r.stats.decode_errors;
-    if (r.keep) ports_.emplace(jobs[i].first, std::move(r.rec));
+    if (r.keep) ports_.emplace(ports[i], std::move(r.rec));
   }
 }
 

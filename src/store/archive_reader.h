@@ -1,12 +1,13 @@
 // Recovery scan and retroactive query engine over a pq::store archive.
 //
-// The reader trusts nothing but the CRCs: on open it scans every segment's
-// blocks sequentially, keeps exactly the longest valid prefix of each
-// port's stream and truncates everything after the first torn or corrupt
-// byte (the footer, when present and consistent with the scan, only
-// confirms a clean close — it is never used to skip verification). v2
+// The reader trusts nothing but the CRCs: on open it reads each port's
+// chain through the segment-chain walk (segment_chain.h, the rule resume
+// repair and compaction share), keeps exactly the longest valid prefix of
+// each port's stream and truncates everything after the first torn or
+// corrupt byte (the footer, when present and consistent with the scan,
+// only confirms a clean close — it is never used to skip verification). v2
 // segment payloads are decoded back to their logical (v1) bytes during the
-// scan, so RecoveredBlock::payload — and everything downstream of it:
+// walk, so RecoveredBlock::payload — and everything downstream of it:
 // logical_content(), the pq_query `blocks` listing, the pq_offline
 // byte-match contract — is independent of the on-disk format. A CRC-valid
 // block that fails to decode surfaces as a typed per-port error and ends
@@ -31,18 +32,9 @@
 #include "control/register_records.h"
 #include "obs/metrics.h"
 #include "store/archive_format.h"
+#include "store/segment_chain.h"
 
 namespace pq::store {
-
-/// One CRC-verified block, in the writer's append order. `payload` is
-/// always the logical (v1) snapshot bytes, whatever the segment format.
-struct RecoveredBlock {
-  BlockKind kind = BlockKind::kWindowSnapshot;
-  std::uint32_t partition = 0;
-  std::uint64_t t_lo = 0;
-  std::uint64_t t_hi = 0;
-  std::vector<std::uint8_t> payload;
-};
 
 /// Per-segment detail surfaced by `pq_query info`.
 struct SegmentInfo {
@@ -104,7 +96,7 @@ class ArchiveReader {
  public:
   /// Opens `dir` and recovers every port. Never throws on torn or corrupt
   /// data — damage only shrinks the recovered prefix and is counted in
-  /// stats(). Throws std::runtime_error only if `dir` itself is unreadable.
+  /// stats(). Throws std::runtime_error only if `dir` is not a directory.
   explicit ArchiveReader(const std::string& dir);
   ArchiveReader(const std::string& dir, ReaderOptions opts);
 

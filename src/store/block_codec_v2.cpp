@@ -446,8 +446,10 @@ bool decode_calibration_delta(std::span<const std::uint8_t> prev,
   return true;
 }
 
-}  // namespace
-
+/// Encodes `cur` as a delta body against `prev` (both logical payloads of
+/// the same kind). Returns false, leaving `out` unspecified, when the kind
+/// never deltas (DQ captures), the snapshots' structure differs, or either
+/// payload fails to parse.
 bool encode_delta_payload(BlockKind kind, std::span<const std::uint8_t> prev,
                           std::span<const std::uint8_t> cur,
                           std::vector<std::uint8_t>& out) {
@@ -465,6 +467,8 @@ bool encode_delta_payload(BlockKind kind, std::span<const std::uint8_t> prev,
   return false;
 }
 
+/// Reconstructs the logical payload from a delta `body` and the previous
+/// block's logical payload. Returns false on any malformed input.
 bool decode_delta_payload(BlockKind kind, std::span<const std::uint8_t> prev,
                           std::span<const std::uint8_t> body,
                           std::vector<std::uint8_t>& out) {
@@ -480,6 +484,60 @@ bool decode_delta_payload(BlockKind kind, std::span<const std::uint8_t> prev,
       return false;
   }
   return false;
+}
+
+std::pair<std::uint8_t, std::uint32_t> base_key(BlockKind kind,
+                                                std::uint32_t partition) {
+  return {static_cast<std::uint8_t>(kind), partition};
+}
+
+}  // namespace
+
+bool SegmentPayloadCodec::encode(BlockKind kind, std::uint32_t partition,
+                                 std::span<const std::uint8_t> logical,
+                                 std::vector<std::uint8_t>& out) const {
+  out.clear();
+  const auto base = bases_.find(base_key(kind, partition));
+  std::vector<std::uint8_t> body;
+  if (base != bases_.end() &&
+      encode_delta_payload(kind, base->second, logical, body) &&
+      body.size() < logical.size()) {
+    out.reserve(body.size() + 1);
+    out.push_back(kEncodingDelta);
+    out.insert(out.end(), body.begin(), body.end());
+    return true;
+  }
+  out.reserve(logical.size() + 1);
+  out.push_back(kEncodingRaw);
+  out.insert(out.end(), logical.begin(), logical.end());
+  return false;
+}
+
+void SegmentPayloadCodec::advance(BlockKind kind, std::uint32_t partition,
+                                  std::span<const std::uint8_t> logical) {
+  if (kind == BlockKind::kDqCapture) return;
+  bases_[base_key(kind, partition)].assign(logical.begin(), logical.end());
+}
+
+BlockDecodeStatus SegmentPayloadCodec::decode(
+    BlockKind kind, std::uint32_t partition,
+    std::span<const std::uint8_t> payload, std::vector<std::uint8_t>& logical) {
+  if (payload.empty() ||
+      (payload[0] != kEncodingRaw && payload[0] != kEncodingDelta)) {
+    return BlockDecodeStatus::kBadEncodingTag;
+  }
+  const auto body = payload.subspan(1);
+  if (payload[0] == kEncodingRaw) {
+    logical.assign(body.begin(), body.end());
+  } else {
+    const auto base = bases_.find(base_key(kind, partition));
+    if (base == bases_.end()) return BlockDecodeStatus::kMissingDeltaBase;
+    if (!decode_delta_payload(kind, base->second, body, logical)) {
+      return BlockDecodeStatus::kCorruptDelta;
+    }
+  }
+  advance(kind, partition, logical);
+  return BlockDecodeStatus::kOk;
 }
 
 }  // namespace pq::store

@@ -27,10 +27,16 @@
 // bounds-checks every varint and count and returns false on any
 // malformation, so a CRC-valid but undecodable block surfaces as a typed
 // recovery error instead of garbage snapshots.
+//
+// SegmentPayloadCodec is the one place that applies the tag and base rules;
+// ArchiveWriter and the compactor encode through it and the segment-chain
+// walk (segment_chain.h) decodes through it.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "store/archive_format.h"
@@ -41,20 +47,38 @@ namespace pq::store {
 inline constexpr std::uint8_t kEncodingRaw = 0;
 inline constexpr std::uint8_t kEncodingDelta = 1;
 
-/// Encodes `cur` as a delta body against `prev` (both v1 logical payloads
-/// of the same kind). Returns false — leaving `out` unspecified — when the
-/// kind never deltas (dq-captures), the snapshots' structure differs, or
-/// either payload fails to parse; the caller then writes the payload raw.
-bool encode_delta_payload(BlockKind kind,
-                          std::span<const std::uint8_t> prev,
-                          std::span<const std::uint8_t> cur,
-                          std::vector<std::uint8_t>& out);
+/// The v2 payload coder of one segment, in both directions. It keeps one
+/// delta base per (kind, partition): the previous logical payload of that
+/// kind and partition in the segment. A block is written as a delta against
+/// its base only when the delta is smaller than the raw payload; a DQ
+/// capture never becomes a base; reset() at every segment boundary forgets
+/// every base, so each segment decodes on its own.
+class SegmentPayloadCodec {
+ public:
+  /// Sets `out` to the v2 payload of the logical payload `logical` and
+  /// returns true if it is a delta. Leaves the bases alone: the caller
+  /// commits the block with advance() once it knows the block is written
+  /// in this segment.
+  bool encode(BlockKind kind, std::uint32_t partition,
+              std::span<const std::uint8_t> logical,
+              std::vector<std::uint8_t>& out) const;
 
-/// Reconstructs the v1 logical payload from a delta `body` and the previous
-/// block's logical payload. Returns false on any malformed input.
-bool decode_delta_payload(BlockKind kind,
-                          std::span<const std::uint8_t> prev,
-                          std::span<const std::uint8_t> body,
-                          std::vector<std::uint8_t>& out);
+  /// Makes `logical` the base of its (kind, partition) for the next block.
+  void advance(BlockKind kind, std::uint32_t partition,
+               std::span<const std::uint8_t> logical);
+
+  /// Sets `logical` to the logical payload of the v2 `payload` and, on
+  /// success, advances the base. On failure `logical` is unspecified.
+  BlockDecodeStatus decode(BlockKind kind, std::uint32_t partition,
+                           std::span<const std::uint8_t> payload,
+                           std::vector<std::uint8_t>& logical);
+
+  /// Starts a new segment.
+  void reset() { bases_.clear(); }
+
+ private:
+  std::map<std::pair<std::uint8_t, std::uint32_t>, std::vector<std::uint8_t>>
+      bases_;
+};
 
 }  // namespace pq::store

@@ -3,16 +3,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "faults/fault_plan.h"
 #include "store/block_codec_v2.h"
+#include "store/segment_chain.h"
 
 namespace pq::store {
 
@@ -20,102 +19,31 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  return {std::istreambuf_iterator<char>(in), {}};
-}
-
-struct LogicalBlock {
-  IndexEntry meta;  ///< offsets rewritten at re-encode time
-  std::vector<std::uint8_t> payload;
-};
-
-/// Decodes every block of a footer-clean segment to logical payloads.
-/// Returns false if any block refuses — the segment counts as damaged.
-bool decode_segment_blocks(const SegmentScan& scan,
-                           std::span<const std::uint8_t> data,
-                           std::vector<LogicalBlock>& out) {
-  std::map<std::pair<std::uint8_t, std::uint32_t>, std::vector<std::uint8_t>>
-      bases;
-  for (const auto& e : scan.entries) {
-    const auto payload = data.subspan(e.offset + kBlockOverheadBytes - 4,
-                                      e.length - kBlockOverheadBytes);
-    LogicalBlock block;
-    block.meta = e;
-    if (scan.header.version < kFormatVersionV2) {
-      block.payload.assign(payload.begin(), payload.end());
-    } else {
-      if (payload.empty() ||
-          (payload[0] != kEncodingRaw && payload[0] != kEncodingDelta)) {
-        return false;
-      }
-      const auto body = payload.subspan(1);
-      const std::pair<std::uint8_t, std::uint32_t> key{
-          static_cast<std::uint8_t>(e.kind), e.partition};
-      if (payload[0] == kEncodingRaw) {
-        block.payload.assign(body.begin(), body.end());
-      } else {
-        const auto base = bases.find(key);
-        if (base == bases.end() ||
-            !decode_delta_payload(e.kind, base->second, body,
-                                  block.payload)) {
-          return false;
-        }
-      }
-      if (e.kind != BlockKind::kDqCapture) bases[key] = block.payload;
-    }
-    out.push_back(std::move(block));
-  }
-  return true;
-}
-
-/// Re-encodes a segment from logical blocks, fresh delta bases (the
-/// compacted segment must stand alone, like any other).
-std::vector<std::uint8_t> encode_segment(const SegmentHeader& header,
-                                         std::uint16_t version,
-                                         const std::vector<LogicalBlock>&
+/// Re-encodes a segment from logical blocks as v2, with fresh delta bases
+/// (the compacted segment must stand alone, like any other).
+std::vector<std::uint8_t> encode_segment(SegmentHeader header,
+                                         const std::vector<RecoveredBlock>&
                                              blocks) {
-  SegmentHeader out_header = header;
-  out_header.version = version;
+  header.version = kFormatVersionV2;
   std::vector<std::uint8_t> bytes;
-  encode_segment_header(bytes, out_header);
+  encode_segment_header(bytes, header);
   const std::uint64_t header_bytes = bytes.size();
 
-  std::map<std::pair<std::uint8_t, std::uint32_t>, std::vector<std::uint8_t>>
-      bases;
+  SegmentPayloadCodec codec;
   std::vector<IndexEntry> index;
   index.reserve(blocks.size());
+  std::vector<std::uint8_t> payload;
   for (const auto& b : blocks) {
-    std::vector<std::uint8_t> enc;
-    if (version >= kFormatVersionV2) {
-      const std::pair<std::uint8_t, std::uint32_t> key{
-          static_cast<std::uint8_t>(b.meta.kind), b.meta.partition};
-      std::vector<std::uint8_t> body;
-      const auto base = bases.find(key);
-      if (base != bases.end() &&
-          encode_delta_payload(b.meta.kind, base->second, b.payload, body) &&
-          body.size() < b.payload.size()) {
-        enc.push_back(kEncodingDelta);
-        enc.insert(enc.end(), body.begin(), body.end());
-      } else {
-        enc.push_back(kEncodingRaw);
-        enc.insert(enc.end(), b.payload.begin(), b.payload.end());
-      }
-      if (b.meta.kind != BlockKind::kDqCapture) bases[key] = b.payload;
-    } else {
-      enc = b.payload;
-    }
-    const auto frame = encode_block(b.meta.kind, b.meta.partition, b.meta.t_lo,
-                                    b.meta.t_hi, enc);
-    IndexEntry e = b.meta;
-    e.offset = bytes.size();
-    e.length = static_cast<std::uint32_t>(frame.size());
-    index.push_back(e);
+    codec.encode(b.kind, b.partition, b.payload, payload);
+    codec.advance(b.kind, b.partition, b.payload);
+    const auto frame =
+        encode_block(b.kind, b.partition, b.t_lo, b.t_hi, payload);
+    index.push_back({b.kind, b.partition, b.t_lo, b.t_hi, bytes.size(),
+                     static_cast<std::uint32_t>(frame.size())});
     bytes.insert(bytes.end(), frame.begin(), frame.end());
   }
   const auto footer =
-      encode_footer(bytes.size() - header_bytes, index, version);
+      encode_footer(bytes.size() - header_bytes, index, kFormatVersionV2);
   bytes.insert(bytes.end(), footer.begin(), footer.end());
   return bytes;
 }
@@ -152,55 +80,35 @@ CompactionStats compact_port_chain(const std::string& archive_dir,
   CompactionStats stats;
   const std::string dir = port_dir(archive_dir, port);
   std::error_code ec;
-  if (!fs::is_directory(dir, ec)) return stats;
-
-  std::vector<std::pair<std::uint32_t, std::string>> segments;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (!entry.is_regular_file()) continue;
-    if (name.size() > 4 && name.substr(name.size() - 4) == ".tmp") {
+    if (entry.is_regular_file(ec) && entry.path().extension() == ".tmp") {
       fs::remove(entry.path(), ec);  // stale rewrite from a killed run
-      continue;
-    }
-    std::uint32_t index = 0;
-    if (parse_segment_filename(name, index)) {
-      segments.emplace_back(index, entry.path().string());
     }
   }
-  std::sort(segments.begin(), segments.end());
-  if (segments.size() <= policy.keep_newest_segments) return stats;
-  const std::size_t eligible = segments.size() - policy.keep_newest_segments;
+  const std::vector<SegmentFile> files = list_segment_files(archive_dir, port);
+  if (files.size() <= policy.keep_newest_segments) return stats;
+  const std::span<const SegmentFile> eligible(
+      files.data(), files.size() - policy.keep_newest_segments);
 
-  bool have_anchor = false;
-  std::uint32_t expected_index = 0;
-  for (std::size_t i = 0; i < eligible; ++i) {
+  walk_segment_chain(port, eligible, [&](ChainSegment& seg) {
     ++stats.segments_examined;
-    const std::vector<std::uint8_t> data = read_file(segments[i].second);
-    const SegmentScan scan = scan_segment_bytes(data, port);
-    const bool contiguous =
-        !have_anchor || segments[i].first == expected_index;
-    std::vector<LogicalBlock> blocks;
-    if (!scan.header_ok || !scan.footer_ok || !contiguous ||
-        scan.header.segment_index != segments[i].first ||
-        !decode_segment_blocks(scan, data, blocks)) {
+    if (!seg.clean()) {
       // Damage (or a chain gap): recovery stops here, so everything after
       // is unreachable — never rewrite it, never extend the horizon.
       ++stats.segments_skipped_damaged;
-      break;
+      return false;
     }
-    have_anchor = true;
-    expected_index = segments[i].first + 1;
-
+    std::vector<RecoveredBlock>& blocks = seg.blocks;
     std::uint64_t dropped = 0;
     if (policy.drop_superseded_calibrations) {
       std::size_t last_cal = blocks.size();
       for (std::size_t j = 0; j < blocks.size(); ++j) {
-        if (blocks[j].meta.kind == BlockKind::kCalibration) last_cal = j;
+        if (blocks[j].kind == BlockKind::kCalibration) last_cal = j;
       }
-      std::vector<LogicalBlock> kept;
+      std::vector<RecoveredBlock> kept;
       kept.reserve(blocks.size());
       for (std::size_t j = 0; j < blocks.size(); ++j) {
-        if (blocks[j].meta.kind == BlockKind::kCalibration && j != last_cal) {
+        if (blocks[j].kind == BlockKind::kCalibration && j != last_cal) {
           ++dropped;
           continue;
         }
@@ -209,26 +117,26 @@ CompactionStats compact_port_chain(const std::string& archive_dir,
       blocks = std::move(kept);
     }
 
-    const auto rewritten =
-        encode_segment(scan.header, policy.output_version, blocks);
+    const auto rewritten = encode_segment(seg.scan.header, blocks);
     if (dropped == 0 &&
-        data.size() < rewritten.size() + policy.min_bytes_saved) {
+        seg.file_bytes < rewritten.size() + policy.min_bytes_saved) {
       ++stats.segments_skipped;
-      continue;
+      return true;
     }
 
-    const std::string tmp = segments[i].second + ".tmp";
+    const std::string& path = seg.file->path;
+    const std::string tmp = path + ".tmp";
     if (!write_whole_file(tmp, rewritten, write_faults)) {
       // Injected kill mid-rewrite: the original segment is untouched, the
       // partial tmp is invisible to every reader. Stop like a dead process.
       ++stats.torn_compactions;
-      return stats;
+      return false;
     }
-    fs::rename(tmp, segments[i].second, ec);
+    fs::rename(tmp, path, ec);
     if (ec) {
       fs::remove(tmp, ec);
       ++stats.segments_skipped;
-      continue;
+      return true;
     }
     // Persist the rename itself.
     const int dirfd = ::open(dir.c_str(), O_RDONLY);
@@ -237,10 +145,11 @@ CompactionStats compact_port_chain(const std::string& archive_dir,
       ::close(dirfd);
     }
     stats.calibrations_dropped += dropped;
-    stats.bytes_before += data.size();
+    stats.bytes_before += seg.file_bytes;
     stats.bytes_after += rewritten.size();
     ++stats.segments_rewritten;
-  }
+    return true;
+  });
   return stats;
 }
 
@@ -248,20 +157,7 @@ CompactionStats compact_archive(const std::string& archive_dir,
                                 const CompactionPolicy& policy,
                                 faults::TornWriteInjector* write_faults) {
   CompactionStats sum;
-  std::error_code ec;
-  if (!fs::is_directory(archive_dir, ec)) return sum;
-  std::vector<std::uint32_t> ports;
-  for (const auto& entry : fs::directory_iterator(archive_dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (!entry.is_directory() || name.rfind("port-", 0) != 0) continue;
-    try {
-      ports.push_back(static_cast<std::uint32_t>(std::stoul(name.substr(5))));
-    } catch (...) {
-      continue;
-    }
-  }
-  std::sort(ports.begin(), ports.end());
-  for (const std::uint32_t port : ports) {
+  for (const std::uint32_t port : list_ports(archive_dir)) {
     const CompactionStats s =
         compact_port_chain(archive_dir, port, policy, write_faults);
     sum.segments_examined += s.segments_examined;

@@ -1,7 +1,7 @@
 // Segment compaction: rewrites cold, footer-clean segments in place —
-// delta-recoding their blocks to the v2 format and dropping superseded
-// calibration records — without ever changing what queries can answer at
-// the full horizon.
+// delta-recoding their blocks to the v2 format (v1 segments included) and
+// dropping superseded calibration records — without ever changing what
+// queries can answer at the full horizon.
 //
 // Invariants the rewrite preserves, in order of importance:
 //
@@ -9,15 +9,15 @@
 //      (same `seg-%06u.pqs` name), so the contiguous-chain walk recovery
 //      relies on is untouched. Compaction never renumbers, merges or
 //      deletes segments — retention owns deletion.
-//   2. Crash safety: the replacement is built as `<name>.tmp` (invisible
-//      to readers and writers, which accept only exact `.pqs` names),
+//   2. Crash safety: the replacement is built as `<name>.tmp` (not a
+//      canonical segment name, so the chain walk never lists it),
 //      fsynced, then atomically renamed over the original. A kill at any
 //      byte leaves either the old or the new file, both valid.
-//   3. Damage never heals: only footer-clean segments whose every block
-//      decodes are eligible, and the port's chain is abandoned at the
-//      first ineligible segment — compacting a damaged chain can shrink
-//      cold storage before the damage but never extends the recovered
-//      horizon past it.
+//   3. Damage never heals: the compactor reads the chain through the same
+//      walk as recovery (segment_chain.h) and rewrites only the clean
+//      segments it returns, stopping at the file the chain ends on —
+//      compacting a damaged chain can shrink cold storage before the
+//      damage but never extends the recovered horizon past it.
 //   4. Answer identity: all snapshot and dq-capture blocks survive.
 //      Dropping all-but-the-last calibration of a segment keeps the
 //      newest-wins calibration any full-horizon query resolves (earlier
@@ -48,8 +48,6 @@ struct CompactionPolicy {
   std::uint32_t keep_newest_segments = 1;
   /// Drop every calibration block of a compacted segment except its last.
   bool drop_superseded_calibrations = true;
-  /// Format the rewritten segment is encoded in (v2 = delta + time index).
-  std::uint16_t output_version = kFormatVersionV2;
   /// Skip the rewrite unless it saves at least this many bytes (a rewrite
   /// that drops blocks always proceeds).
   std::uint64_t min_bytes_saved = 1;

@@ -1,20 +1,16 @@
 #!/usr/bin/env bash
 # Archive v2 compatibility battery: the committed v1 golden archive
-# (tests/data/golden_archive_v1/, written by a pinned older build), a
-# mixed v1+v2 chain produced by compacting it, and a fresh v2-only archive
-# must all answer the culprit queries byte-identically to pq_offline over
+# (tests/data/golden_archive_v1/, written by a v1 writer; v1 is frozen and
+# no longer written, so this fixture is the only v1 writer output), a mixed
+# v1+v2 chain produced by compacting it, and a fresh v2-only archive must
+# all answer the culprit queries byte-identically to pq_offline over
 # records rebuilt from the same trace with the same parameters. On top of
 # that: compaction must actually shrink the cold bytes, the indexed
-# `--as-of` seek must byte-match the forced full scan, and `--strict` must
-# still exit 3 when a v2 tail is torn. Step 0 pins the writer itself: the
-# command below must reproduce both fixture segments byte for byte (the
-# segment header and the window, monitor and calibration blocks).
-#
-# Regenerating the fixture (only after a deliberate v1 format change —
-# which should never happen; v1 is frozen):
-#   pq_replay tests/data/golden_burst.pqt --batch 256 \
-#     --m0 8 --alpha 2 --k 8 --T 3 --archive-dir tests/data/golden_archive_v1 \
-#     --archive-format 1 --archive-segment-bytes 196608 --archive-fsync segment
+# `--as-of` seek must byte-match the forced full scan, look-alike names
+# must not change what the archive holds, and `--strict` must still exit 3
+# when a v2 tail is torn. Step 0 pins the bytes the v2 writer and the
+# compactor emit (segment headers; window, monitor and calibration blocks;
+# footers with the sparse time index).
 #
 # $1 is the directory holding the pq_* binaries (a build root is accepted
 # and resolved to its tools/ subdirectory); $2 is tests/data/.
@@ -56,16 +52,28 @@ ask() { # ask <archive-dir> <out-file> [extra pq_query args...]
     | sed 1d >> "$out"
 }
 
-# 0. Today's v1 writer reproduces the committed fixture byte for byte.
+pin() { # pin <file> <sha256>
+  local got
+  got="$(sha256sum "$1" | cut -d' ' -f1)"
+  [[ "$got" == "$2" ]] \
+    || { echo "$1 has sha256 $got, pinned $2" >&2; exit 1; }
+}
+
+# 0. The v2 writer and the compactor emit the pinned bytes, and a fresh v2
+#    archive lists the same blocks as the v1 fixture.
 "$TOOLS_DIR/pq_replay" "$TRACE" --batch 256 "${PARAMS[@]}" \
-  --archive-dir "$WORK/regen" --archive-format 1 \
+  --archive-dir "$WORK/v2" \
   --archive-segment-bytes 196608 --archive-fsync segment > /dev/null
-for seg in seg-000000.pqs seg-000001.pqs; do
-  cmp "$FIXTURE/port-0/$seg" "$WORK/regen/port-0/$seg" \
-    || { echo "regenerated v1 $seg differs from the fixture" >&2; exit 1; }
-done
-[[ "$(find "$WORK/regen" -name 'seg-*.pqs' | wc -l)" -eq 2 ]] \
-  || { echo "regenerated v1 archive has extra segments" >&2; exit 1; }
+[[ "$(find "$WORK/v2" -name 'seg-*.pqs' | wc -l)" -eq 2 ]] \
+  || { echo "fresh v2 archive does not have 2 segments" >&2; exit 1; }
+pin "$WORK/v2/port-0/seg-000000.pqs" \
+  5066ebe914c7cf962dedc9d4aaa99cb8978635b16ad8e33a91e2666a7f642b4c
+pin "$WORK/v2/port-0/seg-000001.pqs" \
+  baa8281afb2c650aa7c41a2052b80f42ac447c835b4fb018f03c636a0c4334de
+"$TOOLS_DIR/pq_query" "$WORK/v2" blocks 0 > "$WORK/v2_blocks.txt"
+"$TOOLS_DIR/pq_query" "$FIXTURE" blocks 0 > "$WORK/v1_blocks.txt"
+diff -u "$WORK/v1_blocks.txt" "$WORK/v2_blocks.txt" \
+  || { echo "v2 archive lists other blocks than the v1 fixture" >&2; exit 1; }
 
 # 1. The committed v1-only chain answers like pq_offline.
 ask "$FIXTURE" "$WORK/v1.txt"
@@ -79,6 +87,10 @@ BEFORE=$(du -sb "$WORK/mixed" | cut -f1)
 "$TOOLS_DIR/pq_compact" "$WORK/mixed" | tee "$WORK/compact.txt" >&2
 grep -q ' 1 rewritten' "$WORK/compact.txt" \
   || { echo "compaction rewrote nothing" >&2; exit 1; }
+pin "$WORK/mixed/port-0/seg-000000.pqs" \
+  c9d61243efb08cc346319553bb717744ae5ac46e13187f521957cf723556b2a7
+pin "$WORK/mixed/port-0/seg-000001.pqs" \
+  24384382401259df26e14b7e7d519d81750ccf4f63adbea0b40a85280c03c7e3
 AFTER=$(du -sb "$WORK/mixed" | cut -f1)
 [[ "$AFTER" -lt "$BEFORE" ]] \
   || { echo "compaction did not shrink the archive ($BEFORE -> $AFTER)" >&2; exit 1; }
@@ -90,10 +102,7 @@ ask "$WORK/mixed" "$WORK/mixed.txt"
 diff -u "$WORK/want.txt" "$WORK/mixed.txt" \
   || { echo "mixed-chain answers diverged" >&2; exit 1; }
 
-# 3. A fresh v2-only archive answers identically too.
-"$TOOLS_DIR/pq_replay" "$TRACE" --batch 256 "${PARAMS[@]}" \
-  --archive-dir "$WORK/v2" --archive-format 2 \
-  --archive-segment-bytes 196608 --archive-fsync segment > /dev/null
+# 3. The fresh v2-only archive of step 0 answers identically too.
 ask "$WORK/v2" "$WORK/v2.txt"
 diff -u "$WORK/want.txt" "$WORK/v2.txt" \
   || { echo "v2 archive answers diverged" >&2; exit 1; }
@@ -109,7 +118,20 @@ for dir in "$FIXTURE" "$WORK/mixed" "$WORK/v2"; do
   done
 done
 
-# 5. --strict still turns a torn v2 tail into exit code 3.
+# 5. Look-alike names are not part of the archive: a backup copy of the
+#    port directory without its newest segment and a file-manager copy of
+#    a segment change nothing `pq_query info` reports.
+cp -r "$WORK/v2" "$WORK/lookalike"
+cp -r "$WORK/lookalike/port-0" "$WORK/lookalike/port-0.bak"
+rm "$WORK/lookalike/port-0.bak/seg-000001.pqs"
+cp "$WORK/lookalike/port-0/seg-000000.pqs" \
+  "$WORK/lookalike/port-0/seg-000000 (copy).pqs"
+"$TOOLS_DIR/pq_query" "$WORK/v2" info > "$WORK/info_want.txt"
+"$TOOLS_DIR/pq_query" "$WORK/lookalike" info > "$WORK/info_got.txt" 2>&1
+diff -u "$WORK/info_want.txt" "$WORK/info_got.txt" \
+  || { echo "look-alike names changed the archive" >&2; exit 1; }
+
+# 6. --strict still turns a torn v2 tail into exit code 3.
 LAST_SEG="$(find "$WORK/v2" -name 'seg-*.pqs' | sort | tail -1)"
 SIZE="$(stat -c %s "$LAST_SEG")"
 truncate -s "$((SIZE - SIZE / 3))" "$LAST_SEG"

@@ -3,10 +3,12 @@
 // torn write (the faults-layer crash model), or a kill in the middle of a
 // segment compaction — the reader must never crash or fabricate, must
 // recover exactly a prefix of the intact stream, and must account for the
-// damage in its recovery counters. Every property runs against both
-// on-disk formats: raw v1 and delta-coded v2 (where a single flipped bit
-// can invalidate a whole delta chain — but only ever by SHRINKING the
-// recovered prefix).
+// damage in its recovery counters, and a writer resumed on the damaged
+// archive must repair it to exactly what the reader recovered. Every
+// property runs against both on-disk formats: raw v1 (rewritten from a
+// v2-written chain, archive_test_util.h) and delta-coded v2 (where a
+// single flipped bit can invalidate a whole delta chain — but only ever by
+// SHRINKING the recovered prefix).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -18,6 +20,7 @@
 #include "store/archive.h"
 #include "store/archive_reader.h"
 #include "store/compactor.h"
+#include "archive_test_util.h"
 #include "../integration/sharded_harness.h"
 
 namespace pq {
@@ -55,15 +58,16 @@ control::WindowSnapshot synth_snapshot(Timestamp taken_at,
   return snap;
 }
 
-/// Writes a deterministic single-port archive and returns its directory
-/// content: several segments of window + monitor + calibration blocks.
+/// Writes a deterministic single-port archive in `format`: several segments
+/// of window + monitor + calibration blocks. The injector, when set, tears
+/// the v2 writer's appends or, for v1, the rewrite's frames.
 void write_intact_archive(const std::string& dir, std::uint16_t format,
                           faults::TornWriteInjector* injector = nullptr) {
+  const bool v1 = format == store::kFormatVersionV1;
   store::ArchiveOptions opts;
   opts.dir = dir;
   opts.segment_bytes = 4 * 1024;  // several segments
-  opts.format_version = format;
-  store::ArchiveWriter w(0, small_params(), 8, opts, injector);
+  store::ArchiveWriter w(0, small_params(), 8, opts, v1 ? nullptr : injector);
   for (std::uint32_t i = 0; i < 30; ++i) {
     const Timestamp t = 50'000 * (i + 1);
     w.on_window_snapshot(0, synth_snapshot(t, i + 1));
@@ -83,6 +87,25 @@ void write_intact_archive(const std::string& dir, std::uint16_t format,
     w.on_calibration(cal);
   }
   w.close();
+  if (v1) harness::rewrite_as_v1(dir, injector);
+}
+
+/// A writer resumed on the damaged archive and closed without appending
+/// must leave what `damaged` recovered unchanged, and the next read clean.
+void expect_resume_repairs_in_place(const std::string& dir,
+                                    const store::ArchiveReader& damaged,
+                                    int trial) {
+  {
+    store::ArchiveOptions opts;
+    opts.dir = dir;
+    opts.resume = true;
+    store::ArchiveWriter w(0, small_params(), 8, opts);
+    w.close();
+  }
+  store::ArchiveReader repaired(dir);
+  EXPECT_EQ(repaired.logical_content(), damaged.logical_content())
+      << "trial " << trial;
+  EXPECT_EQ(repaired.stats().recoveries, 0u) << "trial " << trial;
 }
 
 /// True if `prefix` is a leading subsequence of `full` at the block level:
@@ -135,6 +158,9 @@ TEST_P(ArchiveRecoveryProperty, TruncationAlwaysRecoversAValidPrefix) {
   ASSERT_EQ(intact.stats().recoveries, 0u);
   const std::uint64_t total_blocks = intact.stats().blocks_recovered;
   ASSERT_GT(total_blocks, 50u);
+  for (const auto& seg : intact.recovered().at(0).segments) {
+    ASSERT_EQ(seg.version, format());
+  }
   const auto files = segment_files(intact_dir.path());
   ASSERT_GT(files.size(), 3u);
 
@@ -161,6 +187,7 @@ TEST_P(ArchiveRecoveryProperty, TruncationAlwaysRecoversAValidPrefix) {
       (void)r.query_time_windows(0, 0, 2'000'000);
       (void)r.query_queue_monitor(0, 500'000);
     }
+    expect_resume_repairs_in_place(dir.path(), r, trial);
   }
 }
 
@@ -200,6 +227,7 @@ TEST_P(ArchiveRecoveryProperty, BitFlipsNeverEscapeTheScan) {
     if (r.has_port(0)) {
       (void)r.query_time_windows(0, 0, 2'000'000);
     }
+    expect_resume_repairs_in_place(dir.path(), r, trial);
   }
 }
 
@@ -290,7 +318,7 @@ TEST_P(ArchiveRecoveryProperty, MidCompactionKillNeverChangesAnAnswer) {
     faults::TornWriteConfig cfg;
     cfg.probability = 0.5;  // the rewrite is a handful of large appends
     faults::TornWriteInjector injector(cfg, 777 + 13 * seed() + trial, &log);
-    const store::CompactionPolicy policy;  // defaults: keep 1, v2 out
+    const store::CompactionPolicy policy;  // defaults: keep the newest 1
     const auto s = store::compact_port_chain(dir.path(), 0, policy,
                                              &injector);
     if (s.torn_compactions > 0) saw_tear = true;

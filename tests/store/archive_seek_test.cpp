@@ -3,9 +3,9 @@
 // boundaries, one tick either side of them, and uniformly random — a
 // reader cutting with the index must answer byte-identically to a reader
 // forced onto the linear every-block path. The on-disk format is a test
-// parameter (v1 chains get the same in-memory index as v2), and the
-// writer deliberately emits duplicate and clustered timestamps so the
-// binary search has ties to get wrong.
+// parameter (v1 chains, rewritten from the v2 writer's output, get the same
+// in-memory index as v2), and the writer deliberately emits duplicate and
+// clustered timestamps so the binary search has ties to get wrong.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include "control/register_records.h"
 #include "store/archive.h"
 #include "store/archive_reader.h"
+#include "archive_test_util.h"
 #include "../integration/sharded_harness.h"
 
 namespace pq {
@@ -97,7 +98,6 @@ TEST_P(ArchiveSeek, IndexedSeekMatchesFullScanEverywhere) {
   store::ArchiveOptions opts;
   opts.dir = dir.path();
   opts.segment_bytes = 8 * 1024;  // many segments, many index keyframes
-  opts.format_version = format();
 
   // Clustered, occasionally-repeating timestamps: ~1 in 4 rounds reuses
   // the previous instant, so adjacent blocks share t_hi and the cut's
@@ -115,10 +115,10 @@ TEST_P(ArchiveSeek, IndexedSeekMatchesFullScanEverywhere) {
       if (i % 10 == 0) w.on_calibration(make_calibration(t, 0.4 + 0.001 * i));
     }
     w.close();
-    // v2 compresses, so it rolls fewer segments than v1 at the same cap;
-    // either way the index must span multiple segment boundaries.
+    // The index must span multiple segment boundaries.
     ASSERT_GT(w.stats().segments_opened, 2u);
   }
+  if (format() == store::kFormatVersionV1) harness::rewrite_as_v1(dir.path());
 
   store::ReaderOptions indexed_opts;
   indexed_opts.seek_index_stride = 4;  // dense samples on a small archive
@@ -128,6 +128,9 @@ TEST_P(ArchiveSeek, IndexedSeekMatchesFullScanEverywhere) {
   store::ArchiveReader scan(dir.path(), scan_opts);
   ASSERT_EQ(indexed.stats().blocks_recovered, scan.stats().blocks_recovered);
   ASSERT_EQ(indexed.logical_content(), scan.logical_content());
+  for (const auto& seg : indexed.recovered().at(0).segments) {
+    ASSERT_EQ(seg.version, format());
+  }
 
   const Timestamp first = boundaries.front();
   const Timestamp last = boundaries.back();

@@ -1,5 +1,5 @@
 // pq::store writer/reader unit coverage: clean roundtrips, segment rolling,
-// queue policies, fsync policies, footer verification and the byte-match
+// inline queue flushes, fsync policies, footer verification and the byte-match
 // with the one-shot records path. The crash/corruption behaviour has its
 // own suite (archive_recovery_property_test.cpp).
 #include <gtest/gtest.h>
@@ -108,7 +108,6 @@ TEST(ArchiveStore, CleanRoundtripPreservesEveryBlock) {
     EXPECT_EQ(w.stats().blocks_appended, 15u);
     EXPECT_EQ(w.stats().segments_opened, 1u);
     EXPECT_EQ(w.stats().segments_closed, 1u);
-    EXPECT_EQ(w.stats().blocks_dropped, 0u);
   }
 
   store::ArchiveReader r(dir.path());
@@ -179,12 +178,8 @@ TEST(ArchiveStore, SegmentsRollAtCapacityAndAllCarryFooters) {
   const TempDir dir;
   store::ArchiveOptions opts;
   opts.dir = dir.path();
-  opts.segment_bytes = 8 * 1024;  // force several rolls
+  opts.segment_bytes = 4 * 1024;  // force several rolls
   opts.fsync = store::FsyncPolicy::kPerSegment;
-  // Pin the uncompressed format: this test asserts roll cadence from v1
-  // frame sizes. The v2 cadence (delta frames shrink, keyframes reset per
-  // segment) has its own test below.
-  opts.format_version = store::kFormatVersionV1;
   std::uint64_t appended = 0;
   {
     store::ArchiveWriter w(1, test_params(), 8, opts);
@@ -243,38 +238,19 @@ TEST(ArchiveStore, V2SegmentsRollWithPerSegmentKeyframes) {
   }
 }
 
-TEST(ArchiveStore, DropNewestPolicyCountsAndBoundsTheQueue) {
-  const TempDir dir;
-  store::ArchiveOptions opts;
-  opts.dir = dir.path();
-  // A queue too small for even one frame, and a watermark above it: every
-  // block after the first queued one is dropped before any flush fires.
-  opts.queue_bytes = 1;
-  opts.flush_watermark_bytes = 1u << 30;
-  opts.queue = store::QueuePolicy::kDropNewest;
-  store::ArchiveWriter w(0, test_params(), 8, opts);
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    w.on_window_snapshot(0, make_window_snapshot(10'000 * (i + 1), i + 1));
-  }
-  EXPECT_EQ(w.stats().blocks_dropped, 10u);
-  w.close();
-  EXPECT_EQ(w.stats().blocks_appended, 0u);
-}
-
 TEST(ArchiveStore, BackpressurePolicyLosesNothing) {
   const TempDir dir;
   store::ArchiveOptions opts;
   opts.dir = dir.path();
-  opts.queue_bytes = 1;  // every append overflows -> inline flush
-  opts.flush_watermark_bytes = 1u << 30;
+  opts.flush_watermark_bytes = 1;  // every append flushes inline
   opts.fsync = store::FsyncPolicy::kPerBlock;
   store::ArchiveWriter w(0, test_params(), 8, opts);
   for (std::uint32_t i = 0; i < 10; ++i) {
     w.on_window_snapshot(0, make_window_snapshot(10'000 * (i + 1), i + 1));
   }
   w.close();
-  EXPECT_EQ(w.stats().blocks_dropped, 0u);
   EXPECT_EQ(w.stats().blocks_appended, 10u);
+  EXPECT_EQ(w.stats().flushes, 10u);
   EXPECT_GE(w.stats().fsyncs, 10u);
   store::ArchiveReader r(dir.path());
   EXPECT_EQ(r.stats().blocks_recovered, 10u);

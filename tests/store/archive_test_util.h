@@ -1,0 +1,109 @@
+// Archive helpers shared by the store suites: whole-file byte access, a
+// rewrite of a v2-written archive as archive v1 (the frozen format no
+// writer produces any more, so the v1 read paths keep their inputs), and a
+// CRC-valid but undecodable v2 block.
+#pragma once
+
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "common/hash.h"
+#include "faults/fault_plan.h"
+#include "store/archive_format.h"
+#include "store/archive_reader.h"
+
+namespace pq::harness {
+
+inline std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + path);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+inline void write_bytes(const std::string& path,
+                        const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Rewrites the clean archive in `dir` as archive v1: every segment keeps
+/// its name, index and blocks, with a version-1 header, the logical
+/// payloads and a v1 footer. With `write_faults`, each v1 frame goes
+/// through the injector as a v1 writer appended it: the first torn frame's
+/// persisted prefix ends its file, with no footer, and the port's later
+/// segments are deleted.
+inline void rewrite_as_v1(const std::string& dir,
+                          faults::TornWriteInjector* write_faults = nullptr) {
+  const store::ArchiveReader reader(dir);
+  for (const auto& [port, rec] : reader.recovered()) {
+    std::size_t next_block = 0;
+    bool dead = false;
+    for (const auto& seg : rec.segments) {
+      const std::string path = store::segment_path(dir, port, seg.index);
+      if (dead) {
+        std::filesystem::remove(path);
+        continue;
+      }
+      store::SegmentHeader header = rec.header;
+      header.segment_index = seg.index;
+      header.version = store::kFormatVersionV1;
+      std::vector<std::uint8_t> bytes;
+      store::encode_segment_header(bytes, header);
+      const std::uint64_t header_bytes = bytes.size();
+      std::vector<store::IndexEntry> index;
+      for (std::uint64_t i = 0; i < seg.blocks && !dead; ++i) {
+        const auto& b = rec.blocks[next_block++];
+        auto frame = store::encode_block(b.kind, b.partition, b.t_lo, b.t_hi,
+                                         b.payload);
+        const std::size_t persisted =
+            write_faults != nullptr ? write_faults->on_append(frame)
+                                    : frame.size();
+        index.push_back({b.kind, b.partition, b.t_lo, b.t_hi, bytes.size(),
+                         static_cast<std::uint32_t>(frame.size())});
+        bytes.insert(bytes.end(), frame.begin(),
+                     frame.begin() + static_cast<std::ptrdiff_t>(persisted));
+        dead = persisted < frame.size();
+      }
+      if (!dead) {
+        const auto footer = store::encode_footer(bytes.size() - header_bytes,
+                                                 index,
+                                                 store::kFormatVersionV1);
+        bytes.insert(bytes.end(), footer.begin(), footer.end());
+      }
+      write_bytes(path, bytes);
+    }
+  }
+}
+
+/// Overwrites the v2 encoding tag of block `ordinal` of a segment file with
+/// a value that is neither raw nor delta and re-seals the frame CRC: the
+/// block stays CRC-valid but cannot decode.
+inline void poison_encoding_tag(const std::string& path, std::uint32_t port,
+                                std::size_t ordinal) {
+  std::vector<std::uint8_t> bytes = read_bytes(path);
+  const store::SegmentScan scan = store::scan_segment_bytes(bytes, port);
+  if (!scan.header_ok || scan.entries.size() <= ordinal) {
+    throw std::runtime_error("no block to poison in " + path);
+  }
+  const store::IndexEntry& victim = scan.entries[ordinal];
+  // Frame: magic u32 | kind u8 | partition u32 | t_lo u64 | t_hi u64 |
+  // payload_len u32 | payload | crc32 (over magic..payload). The payload's
+  // first byte is the v2 encoding tag.
+  bytes[victim.offset + (store::kBlockOverheadBytes - 4)] = 0x77;
+  const std::size_t crc_at = victim.offset + victim.length - 4;
+  const std::uint32_t crc =
+      crc32(bytes.data() + victim.offset, victim.length - 4);
+  bytes[crc_at + 0] = static_cast<std::uint8_t>(crc >> 24);
+  bytes[crc_at + 1] = static_cast<std::uint8_t>(crc >> 16);
+  bytes[crc_at + 2] = static_cast<std::uint8_t>(crc >> 8);
+  bytes[crc_at + 3] = static_cast<std::uint8_t>(crc);
+  write_bytes(path, bytes);
+}
+
+}  // namespace pq::harness

@@ -7,20 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <vector>
 
-#include "common/hash.h"
 #include "faults/fault_plan.h"
 #include "store/archive.h"
 #include "store/archive_reader.h"
+#include "archive_test_util.h"
 #include "../integration/sharded_harness.h"
 
 namespace pq {
 namespace {
 
-namespace fs = std::filesystem;
 using harness::TempDir;
 
 core::TimeWindowParams test_params() {
@@ -146,34 +143,7 @@ TEST(ParallelRecovery, TypedDecodeErrorsReportIdenticallyAtEveryWidth) {
   // re-seal the frame CRC. Every scan must now end that port's prefix at
   // ordinal 1 with kBadEncodingTag — physical integrity says "fine",
   // logical decoding says "no".
-  const std::string seg = store::segment_path(dir.path(), 1, 0);
-  std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(seg, std::ios::binary);
-    ASSERT_TRUE(in) << seg;
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  store::SegmentScan scan = store::scan_segment_bytes(bytes, 1);
-  ASSERT_TRUE(scan.header_ok);
-  ASSERT_GT(scan.entries.size(), 1u);
-  const store::IndexEntry& victim = scan.entries[1];
-  // Frame: magic u32 | kind u8 | partition u32 | t_lo u64 | t_hi u64 |
-  // payload_len u32 | payload | crc32 (over magic..payload). The payload's
-  // first byte is the v2 encoding tag.
-  const std::size_t tag_at = victim.offset + (store::kBlockOverheadBytes - 4);
-  const std::size_t crc_at = victim.offset + victim.length - 4;
-  bytes[tag_at] = 0x77;  // neither kEncodingRaw nor kEncodingDelta
-  const std::uint32_t crc =
-      crc32(bytes.data() + victim.offset, victim.length - 4);
-  bytes[crc_at + 0] = static_cast<std::uint8_t>(crc >> 24);
-  bytes[crc_at + 1] = static_cast<std::uint8_t>(crc >> 16);
-  bytes[crc_at + 2] = static_cast<std::uint8_t>(crc >> 8);
-  bytes[crc_at + 3] = static_cast<std::uint8_t>(crc);
-  {
-    std::ofstream out(seg, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+  harness::poison_encoding_tag(store::segment_path(dir.path(), 1, 0), 1, 1);
 
   const auto reports = scan_at_widths(dir.path());
   expect_identical(reports[0], reports[1], "1 vs 2 workers");

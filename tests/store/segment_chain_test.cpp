@@ -1,0 +1,212 @@
+// The segment-chain rule (store/segment_chain.h) as the reader, the
+// writer's resume repair and the compactor all apply it: numeric index
+// order past six digits, only canonical names, and one end point — a
+// CRC-valid block that fails to decode ends the chain for resume exactly as
+// it does for recovery.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "store/archive.h"
+#include "store/archive_reader.h"
+#include "store/compactor.h"
+#include "archive_test_util.h"
+#include "../integration/sharded_harness.h"
+
+namespace pq {
+namespace {
+
+namespace fs = std::filesystem;
+using harness::TempDir;
+
+core::TimeWindowParams test_params() {
+  core::TimeWindowParams p;
+  p.m0 = 10;
+  p.alpha = 1;
+  p.k = 4;
+  p.num_windows = 3;
+  p.num_ports = 1;
+  return p;
+}
+
+Timestamp time_of(std::uint32_t i) { return 100'000 * (i + 1); }
+
+/// Appends window snapshots `first` .. `first + n - 1` to port 0, each
+/// followed by a calibration, and closes the writer.
+store::WriterStats append_snapshots(const store::ArchiveOptions& opts,
+                                    std::uint32_t first, std::uint32_t n) {
+  const auto p = test_params();
+  store::ArchiveWriter w(0, p, 8, opts);
+  for (std::uint32_t i = first; i < first + n; ++i) {
+    control::WindowSnapshot snap;
+    snap.taken_at = time_of(i);
+    snap.epoch = i;
+    snap.state.resize(p.num_windows);
+    for (std::uint32_t win = 0; win < p.num_windows; ++win) {
+      snap.state[win].resize(1u << p.k);
+      for (std::uint32_t c = i % 3; c < (1u << p.k); c += 3) {
+        auto& cell = snap.state[win][c];
+        cell.occupied = true;
+        cell.flow = make_flow(i * 100 + win * 16 + c);
+        cell.cycle_id = i + win;
+      }
+    }
+    w.on_window_snapshot(0, snap);
+    control::CalibrationRecord cal;
+    cal.taken_at = time_of(i);
+    cal.window_params = p;
+    cal.monitor_levels = 8;
+    cal.z0 = 0.5 + 0.001 * i;
+    w.on_calibration(cal);
+  }
+  w.close();
+  return w.stats();
+}
+
+std::vector<std::uint32_t> segment_indices(const store::ArchiveReader& r) {
+  std::vector<std::uint32_t> out;
+  for (const auto& seg : r.recovered().at(0).segments) out.push_back(seg.index);
+  return out;
+}
+
+std::vector<Timestamp> window_times(const store::ArchiveReader& r) {
+  std::vector<Timestamp> out;
+  for (const auto& b : r.recovered().at(0).blocks) {
+    if (b.kind == store::BlockKind::kWindowSnapshot) out.push_back(b.t_hi);
+  }
+  return out;
+}
+
+TEST(SegmentChain, SevenDigitIndicesFollowSixDigitOnes) {
+  const TempDir dir;
+  store::ArchiveOptions opts;
+  opts.dir = dir.path();
+  append_snapshots(opts, 0, 5);
+
+  // Re-file the one segment as index 999999: new name, header re-stamped
+  // (same size, fresh CRC).
+  const std::string first = store::segment_path(dir.path(), 0, 0);
+  std::vector<std::uint8_t> bytes = harness::read_bytes(first);
+  store::SegmentHeader header;
+  std::size_t header_bytes = 0;
+  ASSERT_TRUE(store::decode_segment_header(bytes, header, header_bytes));
+  header.segment_index = 999999;
+  std::vector<std::uint8_t> stamped;
+  store::encode_segment_header(stamped, header);
+  ASSERT_EQ(stamped.size(), header_bytes);
+  std::copy(stamped.begin(), stamped.end(), bytes.begin());
+  harness::write_bytes(store::segment_path(dir.path(), 0, 999999), bytes);
+  fs::remove(first);
+
+  // A restart continues in seg-1000000.pqs, which sorts before
+  // seg-999999.pqs as a string.
+  opts.resume = true;
+  EXPECT_EQ(append_snapshots(opts, 5, 3).tail_repairs, 0u);
+  store::ArchiveReader r(dir.path());
+  EXPECT_EQ(r.stats().recoveries, 0u);
+  EXPECT_EQ(r.stats().bytes_truncated, 0u);
+  EXPECT_EQ(segment_indices(r), (std::vector<std::uint32_t>{999999, 1000000}));
+  std::vector<Timestamp> want;
+  for (std::uint32_t i = 0; i < 8; ++i) want.push_back(time_of(i));
+  EXPECT_EQ(window_times(r), want);
+
+  // The next restart continues after the whole chain, and compaction walks
+  // it in the same order: both older segments are eligible and clean.
+  append_snapshots(opts, 8, 1);
+  EXPECT_TRUE(fs::exists(store::segment_path(dir.path(), 0, 1000001)));
+  const auto cs =
+      store::compact_port_chain(dir.path(), 0, store::CompactionPolicy{});
+  EXPECT_EQ(cs.segments_examined, 2u);
+  EXPECT_EQ(cs.segments_skipped_damaged, 0u);
+  EXPECT_EQ(store::ArchiveReader(dir.path()).stats().recoveries, 0u);
+}
+
+TEST(SegmentChain, LookAlikeNamesAreNotPartOfTheArchive) {
+  // Two byte-identical archives; one gains a backup copy of its port
+  // directory (minus the newest segment) and a file-manager copy of a
+  // segment. Neither may change what any walk sees.
+  const TempDir plain;
+  const TempDir dir;
+  for (const auto* d : {&plain, &dir}) {
+    store::ArchiveOptions opts;
+    opts.dir = d->path();
+    opts.segment_bytes = 2 * 1024;
+    append_snapshots(opts, 0, 12);
+  }
+  const std::string port0 = store::port_dir(dir.path(), 0);
+  const std::string backup = port0 + ".bak";
+  fs::copy(port0, backup, fs::copy_options::recursive);
+  std::vector<std::string> backup_files;
+  for (const auto& e : fs::directory_iterator(backup)) {
+    backup_files.push_back(e.path().string());
+  }
+  std::sort(backup_files.begin(), backup_files.end());
+  ASSERT_GE(backup_files.size(), 3u);
+  fs::remove(backup_files.back());
+  backup_files.pop_back();
+  const std::string copy = port0 + "/seg-000001 (copy).pqs";
+  fs::copy_file(store::segment_path(dir.path(), 0, 1), copy);
+
+  const store::ArchiveReader want(plain.path());
+  const store::ArchiveReader got(dir.path());
+  ASSERT_EQ(want.stats().recoveries, 0u);
+  EXPECT_EQ(got.ports(), want.ports());
+  EXPECT_EQ(got.logical_content(), want.logical_content());
+  EXPECT_EQ(got.stats().segments_opened, want.stats().segments_opened);
+  EXPECT_EQ(got.stats().footer_hits, want.stats().footer_hits);
+  EXPECT_EQ(got.stats().recoveries, 0u);
+  EXPECT_EQ(got.stats().bytes_truncated, 0u);
+
+  std::vector<std::vector<std::uint8_t>> untouched;
+  for (const auto& f : backup_files) untouched.push_back(harness::read_bytes(f));
+  untouched.push_back(harness::read_bytes(copy));
+  const store::CompactionPolicy policy;
+  const auto cs_want = store::compact_archive(plain.path(), policy);
+  const auto cs_got = store::compact_archive(dir.path(), policy);
+  ASSERT_GT(cs_want.segments_rewritten, 0u);
+  EXPECT_EQ(cs_got.segments_examined, cs_want.segments_examined);
+  EXPECT_EQ(cs_got.segments_rewritten, cs_want.segments_rewritten);
+  EXPECT_EQ(cs_got.segments_skipped_damaged, 0u);
+  EXPECT_EQ(cs_got.bytes_after, cs_want.bytes_after);
+  for (std::size_t i = 0; i < backup_files.size(); ++i) {
+    EXPECT_EQ(harness::read_bytes(backup_files[i]), untouched[i])
+        << backup_files[i];
+  }
+  EXPECT_EQ(harness::read_bytes(copy), untouched.back());
+  EXPECT_EQ(store::ArchiveReader(dir.path()).logical_content(),
+            store::ArchiveReader(plain.path()).logical_content());
+}
+
+TEST(SegmentChain, ResumeEndsTheChainAtAnUndecodableBlock) {
+  const TempDir dir;
+  store::ArchiveOptions opts;
+  opts.dir = dir.path();
+  opts.segment_bytes = 3 * 1024;
+  append_snapshots(opts, 0, 12);
+  ASSERT_TRUE(fs::exists(store::segment_path(dir.path(), 0, 1)));
+  harness::poison_encoding_tag(store::segment_path(dir.path(), 0, 0), 0, 1);
+  {
+    const store::ArchiveReader r(dir.path());
+    ASSERT_EQ(r.recovered().at(0).blocks.size(), 1u);
+    ASSERT_EQ(r.recovered().at(0).decode_error.status,
+              store::BlockDecodeStatus::kBadEncodingTag);
+  }
+
+  // The restart repairs the file the chain ends on and drops the
+  // unreachable rest, so what it appends next is reachable.
+  opts.resume = true;
+  EXPECT_EQ(append_snapshots(opts, 100, 4).tail_repairs, 1u);
+  const store::ArchiveReader r(dir.path());
+  EXPECT_EQ(r.stats().recoveries, 0u);
+  EXPECT_EQ(r.stats().decode_errors, 0u);
+  EXPECT_EQ(segment_indices(r), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(window_times(r),
+            (std::vector<Timestamp>{time_of(0), time_of(100), time_of(101),
+                                    time_of(102), time_of(103)}));
+}
+
+}  // namespace
+}  // namespace pq

@@ -1,15 +1,15 @@
 // pq_compact — offline compaction of a pq::store archive directory.
 //
 // Rewrites cold, footer-clean segments in place: delta-recodes their
-// blocks to the v2 format (or back to raw v1 with --format 1) and drops
-// superseded calibration records, without renumbering segments or changing
-// what full-horizon queries answer (src/store/compactor.h documents the
-// four invariants). Safe to run on an archive a crash left torn: damaged
-// chains are abandoned at the first bad segment, never "healed".
+// blocks to the v2 format (v1 segments included) and drops superseded
+// calibration records, without renumbering segments or changing what
+// full-horizon queries answer (src/store/compactor.h documents the four
+// invariants). Safe to run on an archive a crash left torn: damaged chains
+// are abandoned at the first bad segment, never "healed".
 //
 // Usage:
 //   pq_compact <archive-dir> [--port P] [--keep-newest N]
-//              [--keep-calibrations] [--format 1|2] [--min-saved BYTES]
+//              [--keep-calibrations] [--min-saved BYTES]
 //
 // Exit codes: 0 ok (including nothing to do), 1 unreadable directory,
 // 2 bad usage.
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: pq_compact <archive-dir> [--port P] "
-                 "[--keep-newest N] [--keep-calibrations] [--format 1|2] "
+                 "[--keep-newest N] [--keep-calibrations] "
                  "[--min-saved BYTES]\n");
     return 2;
   }
@@ -41,8 +41,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--keep-newest") == 0 && i + 1 < argc) {
       policy.keep_newest_segments =
           static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
-      policy.output_version = static_cast<std::uint16_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--min-saved") == 0 && i + 1 < argc) {
       policy.min_bytes_saved =
           static_cast<std::uint64_t>(std::atoll(argv[++i]));
@@ -50,11 +48,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
       return 2;
     }
-  }
-  if (policy.output_version != store::kFormatVersionV1 &&
-      policy.output_version != store::kFormatVersionV2) {
-    std::fprintf(stderr, "--format must be 1 or 2\n");
-    return 2;
   }
   std::error_code ec;
   if (!std::filesystem::is_directory(argv[1], ec)) {

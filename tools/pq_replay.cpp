@@ -7,7 +7,7 @@
 //             [--threads N] [--batch N] [--pin-threads]
 //             [--save-records out.pqr]
 //             [--archive-dir dir] [--archive-fsync none|segment|block]
-//             [--archive-segment-bytes N] [--archive-format 1|2]
+//             [--archive-segment-bytes N]
 //             [--metrics-out metrics.json] [--metrics-prom metrics.prom]
 //             [--simd auto|avx2|scalar] [--print-simd]
 //
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
                  "[--salvage] [--threads N] [--batch N] [--pin-threads] "
                  "[--save-records out.pqr] [--archive-dir dir] "
                  "[--archive-fsync none|segment|block] "
-                 "[--archive-segment-bytes N] [--archive-format 1|2] "
+                 "[--archive-segment-bytes N] "
                  "[--metrics-out out.json] [--metrics-prom out.prom] "
                  "[--simd auto|avx2|scalar] [--print-simd]\n");
     return 2;
@@ -147,9 +147,6 @@ int main(int argc, char** argv) {
     aopts.segment_bytes = static_cast<std::uint64_t>(arg_double(
         argc, argv, "--archive-segment-bytes",
         static_cast<double>(aopts.segment_bytes), kFirstOption));
-    aopts.format_version = static_cast<std::uint16_t>(arg_double(
-        argc, argv, "--archive-format",
-        static_cast<double>(aopts.format_version), kFirstOption));
     const char* fsync =
         arg_str(argc, argv, "--archive-fsync", "none", kFirstOption);
     if (std::strcmp(fsync, "block") == 0) {
@@ -209,13 +206,12 @@ int main(int argc, char** argv) {
     archive->close();
     const auto s = archive->stats();
     std::printf("archive: %llu blocks / %llu bytes in %llu segment%s "
-                "written to %s (%llu dropped)\n",
+                "written to %s\n",
                 static_cast<unsigned long long>(s.blocks_appended),
                 static_cast<unsigned long long>(s.bytes_appended),
                 static_cast<unsigned long long>(s.segments_closed),
                 s.segments_closed == 1 ? "" : "s",
-                arg_str(argc, argv, "--archive-dir", "", kFirstOption),
-                static_cast<unsigned long long>(s.blocks_dropped));
+                arg_str(argc, argv, "--archive-dir", "", kFirstOption));
   }
 
   // Victim selection.

@@ -13,7 +13,7 @@
 //            [--pin-threads]
 //            [--archive-dir DIR] [--retain-segments N]
 //            [--archive-segment-bytes N] [--archive-fsync none|segment|block]
-//            [--archive-format 1|2] [--recovery-threads N]
+//            [--recovery-threads N]
 //            [--compact-every-ms N] [--compact-keep-newest N]
 //            [--query-sock PATH] [--metrics-sock PATH]
 //            [--metrics-out FILE] [--metrics-every-ms N]
@@ -138,13 +138,6 @@ int main(int argc, char** argv) {
     dc.archive_fsync = store::FsyncPolicy::kPerSegment;
   } else if (std::strcmp(fsync, "none") != 0) {
     std::fprintf(stderr, "unknown --archive-fsync '%s'\n", fsync);
-    return 2;
-  }
-  dc.archive_format = static_cast<std::uint16_t>(arg_double(
-      argc, argv, "--archive-format", store::kFormatVersionV2));
-  if (dc.archive_format != store::kFormatVersionV1 &&
-      dc.archive_format != store::kFormatVersionV2) {
-    std::fprintf(stderr, "--archive-format must be 1 or 2\n");
     return 2;
   }
   dc.recovery_threads = static_cast<unsigned>(
