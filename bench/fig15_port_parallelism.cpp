@@ -15,8 +15,8 @@
 // pre-copied shards. The timer covers exactly the parallel section: worker
 // drains plus the caller-thread epoch merge of the default 4 ms handoff.
 // Accuracy columns must be bit-identical across every thread count (the
-// determinism contract); the speedup headline `shard_scaling_8t_x` is
-// gated in CI against bench/baselines/port_parallelism_baseline.json.
+// determinism contract); CI checks the speedup headline
+// `shard_scaling_8t_x` in the JSON against a 2.52 floor.
 //
 // Usage: fig15_port_parallelism [--quick] [--out BENCH_port_parallelism.json]
 //   --quick  shorter traces and fewer sampled victims; same sweep shape.
@@ -150,8 +150,8 @@ void write_json(const char* path, const std::vector<Row>& rows,
     std::fprintf(stderr, "cannot write %s\n", path);
     std::exit(1);
   }
-  // Flat headline keys first (tools/check_bench_regression.py reads these),
-  // the full sweep as a "rows" array after.
+  // Flat headline keys first (CI's scaling check reads these), the full
+  // sweep as a "rows" array after.
   std::fprintf(f,
                "{\n"
                "  \"shard_scaling_2t_x\": %.3f,\n"

@@ -9,7 +9,7 @@
 // victim waited (direct culprits), and the queue-monitor point query names
 // the packets whose arrivals built the queue the victim joined (original
 // culprits). Reports are scored against record-derived ground truth at the
-// same hop, which is what bench/net_incast gates on.
+// same hop, which is what tests/net/attribution_test.cpp asserts on.
 #pragma once
 
 #include <cstdint>

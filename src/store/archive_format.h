@@ -183,8 +183,8 @@ struct WriterStats {
   std::uint64_t segments_retired = 0;   ///< deleted by the retention policy
   std::uint64_t tail_repairs = 0;       ///< torn tails repaired on resume
   /// What the same stream would have occupied uncompressed (v1 frame
-  /// bytes). logical_bytes / bytes_appended is the compression ratio the
-  /// perf_smoke baseline gates as archive_bytes_ratio_x.
+  /// bytes). logical_bytes / bytes_appended is the compression ratio
+  /// bench/ratio_canary gates as archive_bytes_ratio_x.
   std::uint64_t logical_bytes = 0;
   std::uint64_t blocks_delta = 0;  ///< blocks that delta-compressed
   std::uint64_t blocks_raw = 0;    ///< keyframes + raw fallbacks

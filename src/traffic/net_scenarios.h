@@ -1,6 +1,6 @@
 // Network-wide traffic scenarios: multi-host workloads over a net::Topology
 // with a designated victim flow and a known ground-truth congested hop, so
-// attribution results can be scored (bench/net_incast, tests/net).
+// attribution results can be scored (tests/net, pq_net).
 //
 // Path placement uses the same ECMP hash the fabric routes with
 // (common/hash.h ecmp_signature): flow_on_path searches source ports until

@@ -1,7 +1,7 @@
 // End-to-end check that the pq::obs export path reports the truth: totals
-// in the merged registry (what `pq_replay --metrics-out` and perf_smoke
-// serialize) must equal independently computed ground truth from the
-// workload and the engine's own per-port statistics.
+// in the merged registry (what `pq_replay --metrics-out` serializes) must
+// equal independently computed ground truth from the workload and the
+// engine's own per-port statistics.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -2,8 +2,9 @@
 // the cross-rack incast oversubscribes exactly one hop (the receiver's
 // downlink), so NetworkAnalysis must (1) see three hops on the victim's
 // path, (2) attribute the congestion to that hop, and (3) name the
-// engineered aggressors there with precision >= 0.8 against record-derived
-// ground truth — the same floor the net_incast bench baseline gates on.
+// engineered aggressors there with precision >= 0.8381 and recall
+// >= 0.83215 against record-derived ground truth. The scenario is seeded,
+// so its packet accounting is pinned exactly.
 #include "net/network_analysis.h"
 
 #include <gtest/gtest.h>
@@ -49,8 +50,9 @@ TEST(Attribution, ThreeHopIncastNamesTheCongestedHopAndCulprits) {
   // The incast is engineered drop-free: the backlog peaks around half the
   // buffer, so every packet delivers and the victim's whole path is in the
   // headers.
+  EXPECT_EQ(engine.stats().injected, 4100u);
+  EXPECT_EQ(engine.stats().delivered, 4100u);
   EXPECT_EQ(engine.stats().dropped, 0u);
-  EXPECT_EQ(engine.stats().delivered, engine.stats().injected);
 
   net::NetworkAnalysis analysis(engine);
   const net::AttributionReport r = analysis.attribute(sc.victim, 8);
@@ -100,9 +102,11 @@ TEST(Attribution, ThreeHopIncastNamesTheCongestedHopAndCulprits) {
   // other flow at that hop is the victim, which is excluded).
   EXPECT_EQ(named, r.culprits.size());
 
-  // The acceptance gate: precision vs record ground truth at the hop.
-  EXPECT_GE(r.direct_accuracy.precision, 0.8);
-  EXPECT_GT(r.direct_accuracy.recall, 0.0);
+  // The acceptance gates vs record ground truth at the hop: precision and
+  // recall at most 15% below the 0.986 and 0.979 measured when the gates
+  // were set; the precision floor is above the 0.8 acceptance bar.
+  EXPECT_GE(r.direct_accuracy.precision, 0.8381);
+  EXPECT_GE(r.direct_accuracy.recall, 0.83215);
 
   // Report renders to JSON with the gated fields present.
   const std::string json = net::to_json(r, engine.stats());

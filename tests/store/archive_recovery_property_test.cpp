@@ -11,8 +11,10 @@
 // SHRINKING the recovered prefix).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <tuple>
 
 #include "common/rng.h"
@@ -235,9 +237,12 @@ TEST_P(ArchiveRecoveryProperty, TornWriteInjectorDiesIntoARecoverablePrefix) {
   const TempDir intact_dir;
   write_intact_archive(intact_dir.path(), format());
   store::ArchiveReader intact(intact_dir.path());
+  const auto& intact_blocks = intact.recovered().at(0).blocks;
 
   // High tear probability: the writer dies somewhere early in every trial.
   faults::FaultLog log;
+  int nonempty_windows = 0;
+  int nonempty_monitors = 0;
   for (int trial = 0; trial < 8; ++trial) {
     faults::TornWriteConfig cfg;
     cfg.probability = 0.05;
@@ -253,15 +258,44 @@ TEST_P(ArchiveRecoveryProperty, TornWriteInjectorDiesIntoARecoverablePrefix) {
     EXPECT_LT(r.stats().blocks_recovered, intact.stats().blocks_recovered)
         << "trial " << trial;
     EXPECT_GE(r.stats().recoveries, 1u) << "trial " << trial;
-    if (r.has_port(0)) {
-      // The surviving span answers the same queries as the intact archive
-      // over the window it still covers: compare against the intact reader
-      // restricted to the newest surviving checkpoint.
-      (void)r.query_time_windows(0, 0, 2'000'000);
-      (void)r.query_queue_monitor(0, 500'000);
+    if (!r.has_port(0)) continue;
+
+    // The surviving prefix answers exactly what the intact archive does as
+    // of H, one tick before the earliest t_hi among the blocks the tear
+    // lost: every intact block with t_hi <= H is in the prefix, so both
+    // readers bounded to H see the same blocks.
+    const std::size_t kept = r.recovered().at(0).blocks.size();
+    ASSERT_LT(kept, intact_blocks.size()) << "trial " << trial;
+    Timestamp horizon = std::numeric_limits<Timestamp>::max();
+    for (std::size_t i = kept; i < intact_blocks.size(); ++i) {
+      horizon = std::min(horizon, intact_blocks[i].t_hi);
+    }
+    ASSERT_GT(horizon, 0u) << "trial " << trial;
+    --horizon;
+    const auto windows = r.query_time_windows(0, 0, 2'000'000, 0, horizon);
+    EXPECT_EQ(windows,
+              intact.query_time_windows(0, 0, 2'000'000, 0, horizon))
+        << "trial " << trial << " as of " << horizon;
+    nonempty_windows += windows.empty() ? 0 : 1;
+    // Every 50 us snapshot instant the horizon still covers.
+    for (Timestamp t = 50'000; t <= horizon; t += 50'000) {
+      const auto got = r.query_queue_monitor(0, t, 0, horizon);
+      const auto want = intact.query_queue_monitor(0, t, 0, horizon);
+      ASSERT_EQ(got.size(), want.size())
+          << "trial " << trial << " t " << t << " as of " << horizon;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].flow, want[k].flow) << "trial " << trial;
+        EXPECT_EQ(got[k].level, want[k].level) << "trial " << trial;
+        EXPECT_EQ(got[k].seq, want[k].seq) << "trial " << trial;
+      }
+      nonempty_monitors += got.empty() ? 0 : 1;
     }
   }
   EXPECT_FALSE(log.events().empty());
+  // Non-empty answers somewhere, so the comparisons above cannot pass
+  // vacuously.
+  EXPECT_GT(nonempty_windows, 0);
+  EXPECT_GT(nonempty_monitors, 0);
 }
 
 /// Everything compaction promises to preserve, in one comparable bundle:
