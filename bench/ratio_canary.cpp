@@ -83,7 +83,7 @@ control::ShardedSystem::Config system_config(std::uint32_t ports) {
 }
 
 struct ReplayOutcome {
-  double best_pps = 0.0;        ///< best of the timed repetitions
+  double secs = 0.0;            ///< the timed record-feeding section
   std::string metrics_json;     ///< deterministic view (IncludeTimings::kNo)
   /// Archive-attached reps only: what the stream would have occupied as v1
   /// frames vs what the v2 writer actually appended. Their ratio is the
@@ -125,13 +125,11 @@ std::vector<std::vector<sim::PacketBatch>> stage_chunks(
 ReplayOutcome run_replay(
     const std::vector<std::vector<sim::EgressContext>>& shard_ctxs,
     const std::vector<std::vector<sim::PacketBatch>>& shard_chunks,
-    const core::PipelineConfig& pcfg, std::uint32_t batch, int reps,
+    const core::PipelineConfig& pcfg, std::uint32_t batch,
     const std::string& archive_dir = {},
     const control::AnalysisConfig& acfg = {}) {
   ReplayOutcome out;
-  std::size_t total = 0;
-  for (const auto& v : shard_ctxs) total += v.size();
-  for (int rep = 0; rep < reps; ++rep) {
+  {
     core::ShardedPipeline pipeline(pcfg);
     for (std::uint32_t p = 0; p < shard_ctxs.size(); ++p) {
       pipeline.enable_port(p);
@@ -165,21 +163,15 @@ ReplayOutcome run_replay(
             shard_ctxs[s].back().deq_timestamp() + 1);
       }
     }
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    if (secs > 0.0) {
-      out.best_pps =
-          std::max(out.best_pps, static_cast<double>(total) / secs);
-    }
-    if (rep == reps - 1) {
-      out.metrics_json = control::collect_replay_metrics(pipeline, analysis)
-                             .to_json(obs::IncludeTimings::kNo);
-    }
+    out.secs = std::chrono::duration<double>(t1 - t0).count();
+    out.metrics_json = control::collect_replay_metrics(pipeline, analysis)
+                           .to_json(obs::IncludeTimings::kNo);
     if (archive) {
       archive->close();
       out.archive_logical_bytes = archive->stats().logical_bytes;
       out.archive_physical_bytes = archive->stats().bytes_appended;
       std::error_code ec;
-      std::filesystem::remove_all(archive_dir, ec);  // fresh dir per rep
+      std::filesystem::remove_all(archive_dir, ec);  // fresh dir per replay
     }
   }
   return out;
@@ -237,12 +229,7 @@ int main() {
   replay_cfg.dq_depth_threshold_cells = 0;
   replay_cfg.dq_delay_threshold_ns = 0;
   const auto shard_chunks = stage_chunks(shard_ctxs, batch);
-  // One untimed warmup per mode, then interleaved scalar/batched reps:
-  // alternating keeps clock-frequency and cache drift from biasing one
-  // mode (both see the same machine conditions), and best-of per mode
-  // rejects one-off stalls.
-  constexpr int kReplayReps = 3;
-  // Scratch directory for the archive-enabled reps, wiped between reps by
+  // Scratch directory for the archive-enabled replays, wiped after each by
   // run_replay so every measurement starts from an empty segment chain.
   std::string archive_scratch =
       (std::filesystem::temp_directory_path() / "pq-perf-archive-XXXXXX")
@@ -253,41 +240,60 @@ int main() {
   }
   const std::string archive_dir = archive_scratch + "/archive";
   // The SIMD leg: the identical batched replay with dispatch forced to
-  // scalar, interleaved with the native-level reps like everything else.
-  // The ratio isolates the vector kernels (same batching, same staging);
-  // the deterministic metrics views must still be byte-identical, which
-  // makes the bench a cross-dispatch-level correctness gate too.
+  // scalar, interleaved with the native-level replays like everything
+  // else. The ratio isolates the vector kernels (same batching, same
+  // staging); the deterministic metrics views must still be
+  // byte-identical, which makes the bench a cross-dispatch-level
+  // correctness gate too.
   const simd::Level native_level = simd::active_level();
-  run_replay(shard_ctxs, shard_chunks, replay_cfg, 1, 1);
-  run_replay(shard_ctxs, shard_chunks, replay_cfg, batch, 1);
-  run_replay(shard_ctxs, shard_chunks, replay_cfg, batch, 1, archive_dir);
-  simd::set_active_level(simd::Level::kScalar);
-  run_replay(shard_ctxs, shard_chunks, replay_cfg, batch, 1);
-  simd::set_active_level(native_level);
-  ReplayOutcome scalar, batched, archived, forced_scalar;
-  for (int rep = 0; rep < kReplayReps; ++rep) {
-    const ReplayOutcome s =
-        run_replay(shard_ctxs, shard_chunks, replay_cfg, 1, 1);
-    const ReplayOutcome b =
-        run_replay(shard_ctxs, shard_chunks, replay_cfg, batch, 1);
-    const ReplayOutcome a =
-        run_replay(shard_ctxs, shard_chunks, replay_cfg, batch, 1,
-                   archive_dir);
+  // One round replays every mode once: scalar, batched, archived, forced
+  // scalar.
+  ReplayOutcome round[4];
+  const auto replay_round = [&] {
+    round[0] = run_replay(shard_ctxs, shard_chunks, replay_cfg, 1);
+    round[1] = run_replay(shard_ctxs, shard_chunks, replay_cfg, batch);
+    round[2] =
+        run_replay(shard_ctxs, shard_chunks, replay_cfg, batch, archive_dir);
     simd::set_active_level(simd::Level::kScalar);
-    const ReplayOutcome v =
-        run_replay(shard_ctxs, shard_chunks, replay_cfg, batch, 1);
+    round[3] = run_replay(shard_ctxs, shard_chunks, replay_cfg, batch);
     simd::set_active_level(native_level);
-    scalar.best_pps = std::max(scalar.best_pps, s.best_pps);
-    batched.best_pps = std::max(batched.best_pps, b.best_pps);
-    archived.best_pps = std::max(archived.best_pps, a.best_pps);
-    forced_scalar.best_pps = std::max(forced_scalar.best_pps, v.best_pps);
-    scalar.metrics_json = s.metrics_json;
-    batched.metrics_json = b.metrics_json;
-    archived.metrics_json = a.metrics_json;
-    forced_scalar.metrics_json = v.metrics_json;
+  };
+  // One untimed warmup round, then reps of kRoundsPerRep rounds each. A
+  // replay lasts 3-7 ms, about one scheduler slice, so alone it is either
+  // wholly on the CPU or partly behind a busy neighbour. A rep sums each
+  // mode over its rounds, 25-60 ms, and interleaving the modes round by
+  // round lets clock-frequency drift and a neighbour's share fall on all
+  // of them alike; best-of per mode over the reps rejects one-off stalls.
+  constexpr int kReplayReps = 3;
+  constexpr int kRoundsPerRep = 8;
+  std::size_t replayed = 0;
+  for (const auto& v : shard_ctxs) replayed += v.size();
+  replay_round();
+  double best_pps[4] = {};
+  for (int rep = 0; rep < kReplayReps; ++rep) {
+    double secs[4] = {};
+    for (int r = 0; r < kRoundsPerRep; ++r) {
+      replay_round();
+      for (int m = 0; m < 4; ++m) secs[m] += round[m].secs;
+    }
+    for (int m = 0; m < 4; ++m) {
+      if (secs[m] > 0.0) {
+        best_pps[m] = std::max(
+            best_pps[m],
+            static_cast<double>(replayed) * kRoundsPerRep / secs[m]);
+      }
+    }
   }
-  // Archive v2 compression: one more archived rep — WriterStats tracks both
-  // the physical bytes appended and what the same stream costs as v1
+  const ReplayOutcome& scalar = round[0];
+  const ReplayOutcome& batched = round[1];
+  const ReplayOutcome& archived = round[2];
+  const ReplayOutcome& forced_scalar = round[3];
+  const double scalar_pps = best_pps[0];
+  const double batched_pps = best_pps[1];
+  const double archived_pps = best_pps[2];
+  const double forced_scalar_pps = best_pps[3];
+  // Archive v2 compression: one more archived replay — WriterStats tracks
+  // both the physical bytes appended and what the same stream costs as v1
   // frames.
   // Poll fast enough that each port checkpoints dozens of times: delta
   // compression only engages between same-kind blocks sharing a segment,
@@ -300,9 +306,8 @@ int main() {
   kept_acfg.poll_period_ns = 200'000;  // fixed: the ratio is span-independent
   core::PipelineConfig kept_pcfg = replay_cfg;
   kept_pcfg.monitor.granularity_cells = 128;
-  const ReplayOutcome kept =
-      run_replay(shard_ctxs, shard_chunks, kept_pcfg, batch, 1, archive_dir,
-                 kept_acfg);
+  const ReplayOutcome kept = run_replay(shard_ctxs, shard_chunks, kept_pcfg,
+                                        batch, archive_dir, kept_acfg);
   const double archive_bytes_ratio =
       kept.archive_physical_bytes > 0
           ? static_cast<double>(kept.archive_logical_bytes) /
@@ -333,15 +338,15 @@ int main() {
     return 1;
   }
   const double replay_speedup =
-      scalar.best_pps > 0.0 ? batched.best_pps / scalar.best_pps : 0.0;
+      scalar_pps > 0.0 ? batched_pps / scalar_pps : 0.0;
   const double archive_ratio =
-      batched.best_pps > 0.0 ? archived.best_pps / batched.best_pps : 0.0;
+      batched_pps > 0.0 ? archived_pps / batched_pps : 0.0;
   // 1.0 when dispatch already lands on scalar (no AVX2, -DPQ_SIMD=OFF or
   // PQ_SIMD_LEVEL=scalar): the two legs measured the same code, their ratio
   // is only noise, and the gate is skipped.
   const double simd_speedup =
-      native_level != simd::Level::kScalar && forced_scalar.best_pps > 0.0
-          ? batched.best_pps / forced_scalar.best_pps
+      native_level != simd::Level::kScalar && forced_scalar_pps > 0.0
+          ? batched_pps / forced_scalar_pps
           : 1.0;
 
   std::printf("ratio_canary: %zu pkts, %u ports, %u threads, batch %u, "
@@ -357,9 +362,9 @@ int main() {
               static_cast<unsigned long>(kPackets),
               static_cast<unsigned long>(kDequeued),
               static_cast<unsigned long>(kDropped), ok ? "ok" : "FAIL");
-  ok = at_least("replay_pps_scalar", scalar.best_pps, kMinScalarPps, 1e6,
+  ok = at_least("replay_pps_scalar", scalar_pps, kMinScalarPps, 1e6,
                 "Mpps") && ok;
-  ok = at_least("replay_pps_batch", batched.best_pps, kMinBatchPps, 1e6,
+  ok = at_least("replay_pps_batch", batched_pps, kMinBatchPps, 1e6,
                 "Mpps") && ok;
   ok = at_least("replay_speedup_x", replay_speedup, kMinReplaySpeedupX) && ok;
   ok = at_least("replay_archive_ratio_x", archive_ratio, kMinArchiveRatioX) &&

@@ -37,6 +37,13 @@ std::uint32_t checked_count(wire::ByteReader& r, std::size_t min_elem_bytes,
   return n;
 }
 
+/// Rejects a flag byte with bits no put_* ever sets.
+[[noreturn]] void bad_flags(const char* what, std::uint8_t value) {
+  throw RecordsError(RecordsErrorCode::kBadFlags,
+                     std::string(what) + " flags " + std::to_string(value) +
+                         " set undefined bits");
+}
+
 void require_ok(const wire::ByteReader& r, const char* what) {
   if (!r.ok()) {
     throw RecordsError(RecordsErrorCode::kTruncated,
@@ -64,7 +71,9 @@ core::WindowState get_window_state(wire::ByteReader& r) {
   for (auto& window : state) {
     window.resize(checked_count(r, kMinCellBytes, "window cell"));
     for (auto& cell : window) {
-      cell.occupied = r.u8() != 0;
+      const std::uint8_t occupied = r.u8();
+      if (occupied > 1) bad_flags("window cell", occupied);
+      cell.occupied = occupied != 0;
       if (cell.occupied) {
         cell.flow = wire::get_flow(r);
         cell.cycle_id = r.u64();
@@ -101,6 +110,7 @@ core::MonitorState get_monitor_state(wire::ByteReader& r) {
   state.entries.resize(checked_count(r, kMinEntryBytes, "monitor entry"));
   for (auto& e : state.entries) {
     const std::uint8_t flags = r.u8();
+    if ((flags & ~3u) != 0) bad_flags("monitor entry", flags);
     if (flags & 1) {
       e.inc.valid = true;
       e.inc.flow = wire::get_flow(r);
@@ -127,6 +137,7 @@ const char* to_string(RecordsErrorCode code) {
     case RecordsErrorCode::kOversizedField: return "oversized-field";
     case RecordsErrorCode::kTrailingBytes: return "trailing-bytes";
     case RecordsErrorCode::kBadLayout: return "bad-layout";
+    case RecordsErrorCode::kBadFlags: return "bad-flags";
   }
   return "unknown";
 }

@@ -32,6 +32,7 @@ enum class RecordsErrorCode : std::uint8_t {
   kOversizedField,    ///< a count/length field exceeds the remaining bytes
   kTrailingBytes,     ///< well-formed payload followed by unconsumed bytes
   kBadLayout,         ///< layout parameters core::TtsLayout rejects
+  kBadFlags,          ///< a flag byte holds bits the format does not define
 };
 
 const char* to_string(RecordsErrorCode code);
@@ -56,8 +57,9 @@ class RecordsError : public std::runtime_error {
 // identically everywhere — the basis of the cross-tool byte-match
 // contracts. Snapshot decoders bounds-check every count against the
 // reader's remaining bytes and throw RecordsError (kOversizedField /
-// kTruncated) on malformed input — never allocate from an unvalidated
-// length, never return silent garbage.
+// kTruncated / kBadFlags) on malformed input — never allocate from an
+// unvalidated length, never return silent garbage — so every snapshot they
+// accept re-encodes to exactly the bytes it was read from.
 
 void put_window_snapshot(std::vector<std::uint8_t>& buf,
                          const WindowSnapshot& snap);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/window_filter.h"
-
 namespace pq::control {
 
 ShardedAnalysis::ShardedAnalysis(core::ShardedPipeline& pipeline,
@@ -78,12 +76,6 @@ void ShardedAnalysis::epoch_ready(
 
 void ShardedAnalysis::finalize(Timestamp end_time) {
   for (auto& p : programs_) p->finalize(end_time);
-}
-
-std::vector<std::pair<FlowId, double>> ShardedAnalysis::top_culprits(
-    std::uint32_t global_prefix, Timestamp t1, Timestamp t2,
-    std::size_t k) const {
-  return core::top_k_flows(query_time_windows(global_prefix, t1, t2), k);
 }
 
 HealthStats ShardedAnalysis::health() const {

@@ -61,14 +61,6 @@ class ShardedAnalysis {
         .query_queue_monitor(pipe_.monitor_partition(queue_id), t);
   }
 
-  /// Hop-attribution entry point (src/net/network_analysis): the flows that
-  /// dequeued on one shard within [t1, t2), ranked heaviest-first with
-  /// core::top_k_flows' deterministic tie-breaking (count desc, then flow
-  /// ID). k == 0 returns every flow.
-  std::vector<std::pair<FlowId, double>> top_culprits(
-      std::uint32_t global_prefix, Timestamp t1, Timestamp t2,
-      std::size_t k) const;
-
   /// Wall-clock latency of every routed query (coordinator side). A timing
   /// metric: excluded from the determinism contract.
   const obs::Histogram& query_latency_ns() const { return query_ns_; }

@@ -179,10 +179,10 @@ int Daemon::run(const std::atomic<bool>& stop) {
 
 void Daemon::flush_archive() {
   // Writers append on their shard's worker thread under the shard mutex, so
-  // the drain takes every shard lock first (same discipline as
-  // collect_metrics). Flush timing never changes archive CONTENT — segment
-  // rollover is decided at append time — only how soon bytes leave the
-  // process, so the archive stays a deterministic function of the feed.
+  // the flush takes every shard lock first (same discipline as
+  // collect_metrics). Flush timing never changes archive CONTENT, only how
+  // soon bytes leave the process, so the archive stays a deterministic
+  // function of the feed.
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(pipeline_.num_shards());
   for (std::uint32_t s = 0; s < pipeline_.num_shards(); ++s) {

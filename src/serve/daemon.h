@@ -72,9 +72,9 @@ struct DaemonConfig {
   std::string metrics_out;     ///< .prom file refreshed periodically
   std::uint32_t metrics_every_ms = 1000;
   std::uint32_t watchdog_ms = 500;
-  /// Durability tick: drain the archive writers' append queues (and stdio
-  /// buffers) to the kernel this often, so a SIGKILL loses at most one
-  /// tick of telemetry past the flush watermark. 0 disables.
+  /// Durability tick: push the archive writers' stdio buffers to the
+  /// kernel this often, so a SIGKILL loses at most one tick of telemetry.
+  /// 0 disables.
   std::uint32_t flush_every_ms = 100;
   std::uint32_t poll_sleep_us = 1000;  ///< idle sleep between empty polls
 

@@ -44,6 +44,7 @@ const char* to_string(BlockDecodeStatus status) {
     case BlockDecodeStatus::kBadEncodingTag: return "bad-encoding-tag";
     case BlockDecodeStatus::kMissingDeltaBase: return "missing-delta-base";
     case BlockDecodeStatus::kCorruptDelta: return "corrupt-delta";
+    case BlockDecodeStatus::kMalformedRecord: return "malformed-record";
   }
   return "unknown";
 }
@@ -258,12 +259,6 @@ ArchiveWriter::ArchiveWriter(std::uint32_t port,
                              std::to_string(opts_.format_version) +
                              " (the writer writes v2 only)");
   }
-  // The header is fixed-width, so its size is a constant the enqueue-time
-  // rollover plan can rely on before any segment exists.
-  std::vector<std::uint8_t> probe;
-  encode_segment_header(
-      probe, {port_, 0, params_, monitor_levels_, kFormatVersionV2});
-  fixed_header_bytes_ = probe.size();
   if (opts_.resume) resume_from_disk();
 }
 
@@ -278,118 +273,73 @@ ArchiveWriter::~ArchiveWriter() {
 
 void ArchiveWriter::on_window_snapshot(std::uint32_t port,
                                        const control::WindowSnapshot& snap) {
-  std::vector<std::uint8_t> payload;
-  control::put_window_snapshot(payload, snap);
+  std::vector<std::uint8_t> logical;
+  control::put_window_snapshot(logical, snap);
   const std::uint64_t t_lo =
       snap.taken_at > static_cast<Timestamp>(t_set_)
           ? snap.taken_at - static_cast<Timestamp>(t_set_)
           : 0;
-  enqueue(BlockKind::kWindowSnapshot, port, t_lo, snap.taken_at, payload);
+  append(BlockKind::kWindowSnapshot, port, t_lo, snap.taken_at, snap,
+         logical);
 }
 
 void ArchiveWriter::on_monitor_snapshot(std::uint32_t partition,
                                         const control::MonitorSnapshot& snap) {
-  std::vector<std::uint8_t> payload;
-  control::put_monitor_snapshot(payload, snap);
-  enqueue(BlockKind::kMonitorSnapshot, partition, snap.taken_at,
-          snap.taken_at, payload);
+  std::vector<std::uint8_t> logical;
+  control::put_monitor_snapshot(logical, snap);
+  append(BlockKind::kMonitorSnapshot, partition, snap.taken_at,
+         snap.taken_at, snap, logical);
 }
 
 void ArchiveWriter::on_dq_capture(std::uint32_t port,
                                   const control::DqCapture& cap) {
-  std::vector<std::uint8_t> payload;
-  control::put_dq_capture(payload, cap);
-  enqueue(BlockKind::kDqCapture, port, cap.notification.enq_timestamp,
-          cap.notification.deq_timestamp, payload);
+  std::vector<std::uint8_t> logical;
+  control::put_dq_capture(logical, cap);
+  append(BlockKind::kDqCapture, port, cap.notification.enq_timestamp,
+         cap.notification.deq_timestamp, cap, logical);
 }
 
 void ArchiveWriter::on_calibration(const control::CalibrationRecord& cal) {
-  std::vector<std::uint8_t> payload;
-  control::put_calibration(payload, cal);
-  enqueue(BlockKind::kCalibration, 0, cal.taken_at, cal.taken_at, payload);
+  std::vector<std::uint8_t> logical;
+  control::put_calibration(logical, cal);
+  append(BlockKind::kCalibration, 0, cal.taken_at, cal.taken_at, cal,
+         logical);
 }
 
-void ArchiveWriter::enqueue(BlockKind kind, std::uint32_t partition,
-                            std::uint64_t t_lo, std::uint64_t t_hi,
-                            std::span<const std::uint8_t> payload) {
+template <class Record>
+void ArchiveWriter::append(BlockKind kind, std::uint32_t partition,
+                           std::uint64_t t_lo, std::uint64_t t_hi,
+                           const Record& rec,
+                           std::span<const std::uint8_t> logical) {
   if (dead_ || closed_) return;
-  PendingBlock block;
-  block.logical_bytes = kBlockOverheadBytes + payload.size();
-  std::vector<std::uint8_t> enc;
-  block.is_delta = codec_.encode(kind, partition, payload, enc);
-  block.frame = encode_block(kind, partition, t_lo, t_hi, enc);
-
-  // Rollover is planned here, mirroring the append-side arithmetic over
-  // queued-but-unwritten frames, because a block that opens a segment must
-  // be a keyframe (delta bases never cross segment boundaries).
-  block.opens_segment =
-      !planned_open_ ||
-      (planned_block_bytes_ > 0 &&
-       fixed_header_bytes_ + planned_block_bytes_ + block.frame.size() >
-           opts_.segment_bytes);
-  if (block.opens_segment) {
-    codec_.reset();
-    planned_block_bytes_ = 0;
-    if (block.is_delta) {
-      block.is_delta = codec_.encode(kind, partition, payload, enc);
-      block.frame = encode_block(kind, partition, t_lo, t_hi, enc);
-    }
-  }
-  block.meta = {kind, partition, t_lo, t_hi, 0,
-                static_cast<std::uint32_t>(block.frame.size())};
-
-  const std::uint64_t frame_bytes = block.frame.size();
-  queued_bytes_ += frame_bytes;
-  if (queued_bytes_ > stats_.queue_peak_bytes) {
-    stats_.queue_peak_bytes = queued_bytes_;
-  }
-  queue_.push_back(std::move(block));
-  planned_open_ = true;
-  planned_block_bytes_ += frame_bytes;
-  codec_.advance(kind, partition, payload);
-  if (queued_bytes_ >= opts_.flush_watermark_bytes) flush();
-}
-
-void ArchiveWriter::flush() {
-  if (queue_.empty()) return;
-  ++stats_.flushes;
-  for (auto& block : queue_) {
-    append_block(block);
-    if (dead_) break;  // the simulated process died mid-flush
-  }
-  queue_.clear();
-  queued_bytes_ = 0;
-}
-
-void ArchiveWriter::flush_queue() {
-  if (closed_ || dead_) return;
-  flush();
-  // Push stdio's buffer into the kernel as well: the page cache survives a
-  // SIGKILL, the user-space FILE buffer does not. Durability against power
-  // loss is still governed by the fsync policy, not by this call.
-  if (file_ != nullptr) std::fflush(file_);
-}
-
-void ArchiveWriter::append_block(PendingBlock& block) {
-  if (dead_) return;
-  if (file_ == nullptr) {
-    open_segment();
-  } else if (block.opens_segment) {
+  std::vector<std::uint8_t> payload;
+  bool is_delta = codec_.encode(partition, rec, logical, payload);
+  std::vector<std::uint8_t> frame =
+      encode_block(kind, partition, t_lo, t_hi, payload);
+  // A segment rolls when this frame would push it past capacity (a lone
+  // oversized frame is still written whole). The block that opens a
+  // segment is its keyframe: delta bases never cross a segment boundary.
+  if (file_ == nullptr ||
+      (segment_block_bytes_ > 0 &&
+       header_bytes_ + segment_block_bytes_ + frame.size() >
+           opts_.segment_bytes)) {
     close_segment();
     open_segment();
+    if (is_delta) {
+      is_delta = codec_.encode(partition, rec, logical, payload);
+      frame = encode_block(kind, partition, t_lo, t_hi, payload);
+    }
   }
+  codec_.advance(partition, rec);
 
   const std::size_t persisted =
-      write_faults_ != nullptr
-          ? write_faults_->on_append(
-                std::span<std::uint8_t>(block.frame.data(),
-                                        block.frame.size()))
-          : block.frame.size();
+      write_faults_ != nullptr ? write_faults_->on_append(frame)
+                               : frame.size();
   if (persisted > 0 &&
-      std::fwrite(block.frame.data(), 1, persisted, file_) != persisted) {
+      std::fwrite(frame.data(), 1, persisted, file_) != persisted) {
     throw std::runtime_error("pq::store: segment append failed");
   }
-  if (persisted < block.frame.size()) {
+  if (persisted < frame.size()) {
     // Injected crash: the prefix reaches disk, then the process is gone.
     // No footer, no further appends — recovery is the reader's job.
     ++stats_.torn_writes;
@@ -400,18 +350,23 @@ void ArchiveWriter::append_block(PendingBlock& block) {
     return;
   }
 
-  block.meta.offset = header_bytes_ + segment_block_bytes_;
-  segment_index_.push_back(block.meta);
-  segment_block_bytes_ += block.frame.size();
+  segment_index_.push_back({kind, partition, t_lo, t_hi,
+                            header_bytes_ + segment_block_bytes_,
+                            static_cast<std::uint32_t>(frame.size())});
+  segment_block_bytes_ += frame.size();
   ++stats_.blocks_appended;
-  stats_.bytes_appended += block.frame.size();
-  stats_.logical_bytes += block.logical_bytes;
-  if (block.is_delta) {
+  stats_.bytes_appended += frame.size();
+  stats_.logical_bytes += kBlockOverheadBytes + logical.size();
+  if (is_delta) {
     ++stats_.blocks_delta;
   } else {
     ++stats_.blocks_raw;
   }
   if (opts_.fsync == FsyncPolicy::kPerBlock) sync_file();
+}
+
+void ArchiveWriter::flush() {
+  if (file_ != nullptr) std::fflush(file_);
 }
 
 namespace {
@@ -502,6 +457,7 @@ void ArchiveWriter::open_segment() {
   header_bytes_ = header.size();
   segment_block_bytes_ = 0;
   segment_index_.clear();
+  codec_.reset();
   live_segments_.push_back(next_segment_index_);
   ++next_segment_index_;
   ++stats_.segments_opened;
@@ -530,10 +486,7 @@ void ArchiveWriter::sync_file() {
 
 void ArchiveWriter::close() {
   if (closed_) return;
-  if (!dead_) {
-    flush();
-    close_segment();
-  }
+  if (!dead_) close_segment();
   closed_ = true;
 }
 
@@ -582,7 +535,7 @@ void Archive::close() {
 }
 
 void Archive::flush_all() {
-  for (auto& [port, w] : writers_) w->flush_queue();
+  for (auto& [port, w] : writers_) w->flush();
 }
 
 WriterStats Archive::stats() const {
@@ -593,9 +546,7 @@ WriterStats Archive::stats() const {
     sum.bytes_appended += s.bytes_appended;
     sum.segments_opened += s.segments_opened;
     sum.segments_closed += s.segments_closed;
-    sum.flushes += s.flushes;
     sum.fsyncs += s.fsyncs;
-    sum.queue_peak_bytes = std::max(sum.queue_peak_bytes, s.queue_peak_bytes);
     sum.torn_writes += s.torn_writes;
     sum.segments_retired += s.segments_retired;
     sum.tail_repairs += s.tail_repairs;
@@ -618,7 +569,6 @@ void export_writer_metrics(obs::MetricsRegistry& reg, const WriterStats& s) {
   reg.counter("pq_store_segments_closed_total",
               "segment files closed cleanly (footer written)")
       .inc(s.segments_closed);
-  reg.counter("pq_store_flushes_total", "append-queue drains").inc(s.flushes);
   reg.counter("pq_store_fsyncs_total", "fsync calls per the durability policy")
       .inc(s.fsyncs);
   reg.counter("pq_store_torn_writes_total",
@@ -630,9 +580,6 @@ void export_writer_metrics(obs::MetricsRegistry& reg, const WriterStats& s) {
   reg.counter("pq_store_tail_repairs_total",
               "torn segment tails repaired (or discarded) on resume")
       .inc(s.tail_repairs);
-  reg.gauge("pq_store_queue_peak_bytes", obs::GaugeMode::kMax,
-            "append-queue fill high-watermark in bytes")
-      .set_max(s.queue_peak_bytes);
   reg.counter("pq_store_logical_bytes_total",
               "uncompressed (v1-frame) bytes of the appended stream")
       .inc(s.logical_bytes);

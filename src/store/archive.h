@@ -6,9 +6,10 @@
 // shard subscribes (as a control::TelemetrySink) to that shard's verified
 // snapshots, data-plane captures and per-poll calibrations, frames each
 // event as a CRC32-guarded block and appends it to fixed-capacity segment
-// files in the v2 format. Writes are buffered in a queue that flushes at a
-// watermark, stalling the producer while it drains, and made durable per
-// the configured fsync policy.
+// files in the v2 format. Each block is written the moment its event
+// arrives, in one pass from record to disk: the v2 codec deltas the record
+// against the previous one of its kind, the frame goes through the
+// torn-write seam to stdio, and the fsync policy makes it durable.
 //
 // Determinism contract: a writer runs entirely on its shard's thread and
 // consumes a shard-local, schedule-independent event stream, so the
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "control/telemetry_sink.h"
@@ -68,17 +70,17 @@ class ArchiveWriter final : public control::TelemetrySink {
                      const control::DqCapture& cap) override;
   void on_calibration(const control::CalibrationRecord& cal) override;
 
-  /// Drains the queue, writes the open segment's footer and closes it.
-  /// Idempotent. Without close(), the archive is still recoverable — it
-  /// just looks like a crash (that is the point).
+  /// Writes the open segment's footer and closes it. Idempotent. Without
+  /// close(), the archive is still recoverable — it just looks like a
+  /// crash (that is the point).
   void close();
 
-  /// Drains the append queue to disk without closing the segment. Small
-  /// blocks (a calibration record is 41 bytes) can sit below the flush
-  /// watermark indefinitely; a long-running process calls this on a timer
-  /// so a crash loses at most one tick of telemetry, not an arbitrarily
-  /// old tail. No-op once closed or dead.
-  void flush_queue();
+  /// Pushes stdio's buffer of the open segment into the kernel without
+  /// closing it: the page cache survives a SIGKILL, the user-space buffer
+  /// does not. A long-running process calls this on a timer so a kill loses
+  /// at most one tick of telemetry. Durability against power loss is the
+  /// fsync policy's job. No-op once closed or dead.
+  void flush();
 
   /// True after an injected torn write: the simulated process is dead, all
   /// further events are discarded and no footer will be written.
@@ -88,21 +90,13 @@ class ArchiveWriter final : public control::TelemetrySink {
   const WriterStats& stats() const { return stats_; }
 
  private:
-  struct PendingBlock {
-    IndexEntry meta;  ///< offset filled in at write time
-    std::vector<std::uint8_t> frame;
-    /// Segment rollover is decided at enqueue time (the delta encoder must
-    /// know whether this block keyframes a fresh segment before the frame
-    /// is built); append_block only executes the recorded decision.
-    bool opens_segment = false;
-    bool is_delta = false;
-    std::uint64_t logical_bytes = 0;  ///< uncompressed (v1) frame size
-  };
-
-  void enqueue(BlockKind kind, std::uint32_t partition, std::uint64_t t_lo,
-               std::uint64_t t_hi, std::span<const std::uint8_t> payload);
-  void flush();
-  void append_block(PendingBlock& block);
+  /// Frames `rec` (whose register_records encoding is `logical`) and
+  /// appends it, rolling the segment first when the frame would push it
+  /// past capacity.
+  template <class Record>
+  void append(BlockKind kind, std::uint32_t partition, std::uint64_t t_lo,
+              std::uint64_t t_hi, const Record& rec,
+              std::span<const std::uint8_t> logical);
   void open_segment();
   void close_segment();
   void sync_file();
@@ -127,18 +121,8 @@ class ArchiveWriter final : public control::TelemetrySink {
   std::uint64_t header_bytes_ = 0;
   std::uint64_t segment_block_bytes_ = 0;
   std::vector<IndexEntry> segment_index_;
-
-  /// Enqueue-time mirror of the append-side segment accounting, so the
-  /// rollover decision (and therefore the keyframe decision) can be made
-  /// before the frame is queued.
-  std::uint64_t fixed_header_bytes_ = 0;
-  std::uint64_t planned_block_bytes_ = 0;
-  bool planned_open_ = false;
-  /// Delta bases of the planned segment, reset at every planned boundary.
+  /// Delta bases of the open segment, reset whenever a segment opens.
   SegmentPayloadCodec codec_;
-
-  std::vector<PendingBlock> queue_;
-  std::uint64_t queued_bytes_ = 0;
 
   bool dead_ = false;
   bool closed_ = false;
@@ -173,13 +157,13 @@ class Archive {
   /// Closes every writer (footer + fsync per policy). Idempotent.
   void close();
 
-  /// flush_queue() on every writer (the caller must hold whatever locks
+  /// flush() on every writer (the caller must hold whatever locks
   /// normally serialize appends to these writers).
   void flush_all();
 
   const ArchiveOptions& options() const { return opts_; }
 
-  /// Per-port writer stats summed (queue peak: max) across all writers.
+  /// Per-port writer stats summed across all writers.
   WriterStats stats() const;
 
  private:

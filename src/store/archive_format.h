@@ -100,7 +100,7 @@ struct TimeIndexSample {
 std::vector<TimeIndexSample> build_time_index(
     const std::vector<IndexEntry>& entries, std::uint32_t stride);
 
-/// Why a CRC-valid v2 block failed to decode back to its logical payload.
+/// Why a CRC-valid block failed to decode back to its logical payload.
 /// Reported per port by the reader; identical across recovery worker
 /// counts (the parallel-recovery determinism contract).
 enum class BlockDecodeStatus : std::uint8_t {
@@ -108,6 +108,9 @@ enum class BlockDecodeStatus : std::uint8_t {
   kBadEncodingTag,   ///< first payload byte is neither raw nor delta
   kMissingDeltaBase, ///< delta block with no prior same-(kind,partition) block
   kCorruptDelta,     ///< delta body malformed (truncated varint, bad counts)
+  /// A raw (or v1) window, monitor or calibration payload that does not
+  /// parse completely as one record of its kind.
+  kMalformedRecord,
 };
 
 const char* to_string(BlockDecodeStatus status);
@@ -149,9 +152,6 @@ struct ArchiveOptions {
   /// Target segment capacity; a segment rolls when the next block would
   /// push it past this (a single oversized block is still written whole).
   std::uint64_t segment_bytes = 1ull << 20;
-  /// Fill level of the in-memory append queue that triggers a flush; the
-  /// producer (the shard's poll loop) stalls while it drains.
-  std::uint64_t flush_watermark_bytes = 256ull << 10;
   FsyncPolicy fsync = FsyncPolicy::kNone;
   /// Keep at most this many segment files per port, deleting the oldest
   /// after every segment close (0 = unlimited). The surviving chain stays
@@ -176,9 +176,7 @@ struct WriterStats {
   std::uint64_t bytes_appended = 0;
   std::uint64_t segments_opened = 0;
   std::uint64_t segments_closed = 0;
-  std::uint64_t flushes = 0;
   std::uint64_t fsyncs = 0;
-  std::uint64_t queue_peak_bytes = 0;   ///< high-watermark (merge: max)
   std::uint64_t torn_writes = 0;        ///< injected crashes (faults/)
   std::uint64_t segments_retired = 0;   ///< deleted by the retention policy
   std::uint64_t tail_repairs = 0;       ///< torn tails repaired on resume
@@ -197,7 +195,7 @@ struct ReaderStats {
   std::uint64_t recoveries = 0;    ///< segments that needed tail truncation
   std::uint64_t blocks_recovered = 0;
   std::uint64_t bytes_truncated = 0;  ///< torn/corrupt bytes discarded
-  /// CRC-valid v2 blocks whose payload failed to decode back to logical
+  /// CRC-valid blocks whose payload failed to decode back to logical
   /// bytes (typed per-port detail in RecoveredPort::decode_error).
   std::uint64_t decode_errors = 0;
 };

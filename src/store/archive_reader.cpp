@@ -294,20 +294,8 @@ void export_reader_metrics(obs::MetricsRegistry& reg, const ReaderStats& s) {
               "torn or corrupt bytes discarded during recovery")
       .inc(s.bytes_truncated);
   reg.counter("pq_store_reader_decode_errors_total",
-              "CRC-valid v2 blocks whose payload failed to decode")
+              "CRC-valid blocks whose payload failed to decode")
       .inc(s.decode_errors);
-}
-
-void export_seek_metrics(obs::MetricsRegistry& reg, const SeekStats& s) {
-  reg.counter("pq_store_seek_queries_total",
-              "as-of queries answered through the sparse time index")
-      .inc(s.seeks);
-  reg.counter("pq_store_seek_probes_total",
-              "time-index samples touched by binary search (seek depth)")
-      .inc(s.probes);
-  reg.counter("pq_store_seek_blocks_bypassed_total",
-              "blocks excluded or bulk-included without a per-block test")
-      .inc(s.blocks_bypassed);
 }
 
 }  // namespace pq::store

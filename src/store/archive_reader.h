@@ -9,9 +9,12 @@
 // segment payloads are decoded back to their logical (v1) bytes during the
 // walk, so RecoveredBlock::payload — and everything downstream of it:
 // logical_content(), the pq_query `blocks` listing, the pq_offline
-// byte-match contract — is independent of the on-disk format. A CRC-valid
-// block that fails to decode surfaces as a typed per-port error and ends
-// that port's prefix, exactly like physical damage.
+// byte-match contract — is independent of the on-disk format. The walk
+// parses every window, monitor and calibration payload it keeps, so
+// to_records() never meets one that does not parse; DQ captures are parsed
+// only by dq_captures(). A CRC-valid block that fails to decode surfaces as
+// a typed per-port error and ends that port's prefix, exactly like
+// physical damage.
 //
 // Ports can be scanned in parallel (ReaderOptions::threads): each worker
 // owns whole port chains and the results are merged in ascending port
@@ -133,7 +136,8 @@ class ArchiveReader {
       std::uint32_t port, Timestamp t, std::uint32_t partition = 0,
       Timestamp as_of = std::numeric_limits<Timestamp>::max()) const;
 
-  /// Recovered data-plane captures for a port, in firing order.
+  /// Recovered data-plane captures for a port, in firing order. Throws
+  /// control::RecordsError on a capture whose payload does not parse.
   std::vector<control::DqCapture> dq_captures(std::uint32_t port) const;
 
   /// Canonical byte encoding of everything recovered (ports ascending,
@@ -162,6 +166,5 @@ class ArchiveReader {
 
 /// Flattens reader counters into a registry (pq_store_reader_* namespace).
 void export_reader_metrics(obs::MetricsRegistry& reg, const ReaderStats& s);
-void export_seek_metrics(obs::MetricsRegistry& reg, const SeekStats& s);
 
 }  // namespace pq::store

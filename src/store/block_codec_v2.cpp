@@ -1,7 +1,9 @@
 #include "store/block_codec_v2.h"
 
 #include <cstdint>
+#include <type_traits>
 
+#include "control/register_records.h"
 #include "store/varint.h"
 #include "wire/bytes.h"
 
@@ -9,177 +11,38 @@ namespace pq::store {
 
 namespace {
 
-// Parsed rows, zero-initialized so an absent row deltas against zeros.
-struct CellRow {
-  bool occupied = false;
-  std::uint32_t src_ip = 0;
-  std::uint32_t dst_ip = 0;
-  std::uint16_t src_port = 0;
-  std::uint16_t dst_port = 0;
-  std::uint8_t proto = 0;
-  std::uint64_t cycle_id = 0;
-
-  bool operator==(const CellRow&) const = default;
-};
-
-struct MonitorHalfRow {
-  bool valid = false;
-  std::uint32_t src_ip = 0;
-  std::uint32_t dst_ip = 0;
-  std::uint16_t src_port = 0;
-  std::uint16_t dst_port = 0;
-  std::uint8_t proto = 0;
-  std::uint64_t seq = 0;
-
-  bool operator==(const MonitorHalfRow&) const = default;
-};
-
-struct MonitorRow {
-  MonitorHalfRow inc;
-  MonitorHalfRow dec;
-
-  bool operator==(const MonitorRow&) const = default;
-};
-
 std::int64_t diff(std::uint64_t cur, std::uint64_t prev) {
   return static_cast<std::int64_t>(cur - prev);
 }
 
-std::uint64_t apply(std::uint64_t prev, std::int64_t d) {
-  return prev + static_cast<std::uint64_t>(d);
+/// Reads one zig-zag varint delta and applies it to `field` in place.
+template <class Field>
+bool get_delta(wire::ByteReader& r, Field& field) {
+  std::int64_t d = 0;
+  if (!get_svarint(r, d)) return false;
+  field = static_cast<Field>(static_cast<std::uint64_t>(field) +
+                             static_cast<std::uint64_t>(d));
+  return true;
 }
 
-bool read_cell(wire::ByteReader& r, CellRow& cell) {
-  const std::uint8_t occupied = r.u8();
-  if (!r.ok() || occupied > 1) return false;
-  cell = CellRow{};
-  cell.occupied = occupied != 0;
-  if (cell.occupied) {
-    cell.src_ip = r.u32();
-    cell.dst_ip = r.u32();
-    cell.src_port = r.u16();
-    cell.dst_port = r.u16();
-    cell.proto = r.u8();
-    cell.cycle_id = r.u64();
-  }
-  return r.ok();
-}
-
-void write_cell(std::vector<std::uint8_t>& buf, const CellRow& cell) {
-  wire::put_u8(buf, cell.occupied ? 1 : 0);
-  if (cell.occupied) {
-    wire::put_u32(buf, cell.src_ip);
-    wire::put_u32(buf, cell.dst_ip);
-    wire::put_u16(buf, cell.src_port);
-    wire::put_u16(buf, cell.dst_port);
-    wire::put_u8(buf, cell.proto);
-    wire::put_u64(buf, cell.cycle_id);
-  }
-}
-
-void put_cell_delta(std::vector<std::uint8_t>& buf, const CellRow& prev,
-                    const CellRow& cur) {
-  wire::put_u8(buf, cur.occupied ? 1 : 0);
-  if (!cur.occupied) return;
+void put_flow_delta(std::vector<std::uint8_t>& buf, const FlowId& prev,
+                    const FlowId& cur) {
   put_svarint(buf, diff(cur.src_ip, prev.src_ip));
   put_svarint(buf, diff(cur.dst_ip, prev.dst_ip));
   put_svarint(buf, diff(cur.src_port, prev.src_port));
   put_svarint(buf, diff(cur.dst_port, prev.dst_port));
   put_svarint(buf, diff(cur.proto, prev.proto));
-  put_svarint(buf, diff(cur.cycle_id, prev.cycle_id));
 }
 
-bool get_cell_delta(wire::ByteReader& r, const CellRow& prev, CellRow& cur) {
-  const std::uint8_t occupied = r.u8();
-  if (!r.ok() || occupied > 1) return false;
-  cur = CellRow{};
-  cur.occupied = occupied != 0;
-  if (!cur.occupied) return true;
-  std::int64_t d[6];
-  for (auto& v : d) {
-    if (!get_svarint(r, v)) return false;
-  }
-  cur.src_ip = static_cast<std::uint32_t>(apply(prev.src_ip, d[0]));
-  cur.dst_ip = static_cast<std::uint32_t>(apply(prev.dst_ip, d[1]));
-  cur.src_port = static_cast<std::uint16_t>(apply(prev.src_port, d[2]));
-  cur.dst_port = static_cast<std::uint16_t>(apply(prev.dst_port, d[3]));
-  cur.proto = static_cast<std::uint8_t>(apply(prev.proto, d[4]));
-  cur.cycle_id = apply(prev.cycle_id, d[5]);
-  return true;
-}
-
-bool read_monitor_half(wire::ByteReader& r, bool valid, MonitorHalfRow& half) {
-  half = MonitorHalfRow{};
-  half.valid = valid;
-  if (valid) {
-    half.src_ip = r.u32();
-    half.dst_ip = r.u32();
-    half.src_port = r.u16();
-    half.dst_port = r.u16();
-    half.proto = r.u8();
-    half.seq = r.u64();
-  }
-  return r.ok();
-}
-
-bool read_monitor_row(wire::ByteReader& r, MonitorRow& row) {
-  const std::uint8_t flags = r.u8();
-  if (!r.ok() || (flags & ~3u) != 0) return false;
-  return read_monitor_half(r, (flags & 1) != 0, row.inc) &&
-         read_monitor_half(r, (flags & 2) != 0, row.dec);
-}
-
-void write_monitor_half(std::vector<std::uint8_t>& buf,
-                        const MonitorHalfRow& half) {
-  if (!half.valid) return;
-  wire::put_u32(buf, half.src_ip);
-  wire::put_u32(buf, half.dst_ip);
-  wire::put_u16(buf, half.src_port);
-  wire::put_u16(buf, half.dst_port);
-  wire::put_u8(buf, half.proto);
-  wire::put_u64(buf, half.seq);
-}
-
-void write_monitor_row(std::vector<std::uint8_t>& buf, const MonitorRow& row) {
-  const std::uint8_t flags = static_cast<std::uint8_t>(
-      (row.inc.valid ? 1 : 0) | (row.dec.valid ? 2 : 0));
-  wire::put_u8(buf, flags);
-  write_monitor_half(buf, row.inc);
-  write_monitor_half(buf, row.dec);
-}
-
-void put_half_delta(std::vector<std::uint8_t>& buf, const MonitorHalfRow& prev,
-                    const MonitorHalfRow& cur) {
-  if (!cur.valid) return;
-  put_svarint(buf, diff(cur.src_ip, prev.src_ip));
-  put_svarint(buf, diff(cur.dst_ip, prev.dst_ip));
-  put_svarint(buf, diff(cur.src_port, prev.src_port));
-  put_svarint(buf, diff(cur.dst_port, prev.dst_port));
-  put_svarint(buf, diff(cur.proto, prev.proto));
-  put_svarint(buf, diff(cur.seq, prev.seq));
-}
-
-bool get_half_delta(wire::ByteReader& r, const MonitorHalfRow& prev,
-                    bool valid, MonitorHalfRow& cur) {
-  cur = MonitorHalfRow{};
-  cur.valid = valid;
-  if (!valid) return true;
-  std::int64_t d[6];
-  for (auto& v : d) {
-    if (!get_svarint(r, v)) return false;
-  }
-  cur.src_ip = static_cast<std::uint32_t>(apply(prev.src_ip, d[0]));
-  cur.dst_ip = static_cast<std::uint32_t>(apply(prev.dst_ip, d[1]));
-  cur.src_port = static_cast<std::uint16_t>(apply(prev.src_port, d[2]));
-  cur.dst_port = static_cast<std::uint16_t>(apply(prev.dst_port, d[3]));
-  cur.proto = static_cast<std::uint8_t>(apply(prev.proto, d[4]));
-  cur.seq = apply(prev.seq, d[5]);
-  return true;
+bool get_flow_delta(wire::ByteReader& r, FlowId& f) {
+  return get_delta(r, f.src_ip) && get_delta(r, f.dst_ip) &&
+         get_delta(r, f.src_port) && get_delta(r, f.dst_port) &&
+         get_delta(r, f.proto);
 }
 
 // Emits one skip-run token followed by a changed row, or a trailing run.
-// The decoder mirrors this: per row position, a pending skip copies the
-// previous snapshot's row; a zero skip introduces a changed-row record.
+// The decoder mirrors this: per row position, a pending skip keeps the
+// previous record's row; a zero skip introduces a changed-row record.
 class RunEncoder {
  public:
   explicit RunEncoder(std::vector<std::uint8_t>& out) : out_(out) {}
@@ -204,11 +67,12 @@ class RunDecoder {
  public:
   explicit RunDecoder(wire::ByteReader& r) : r_(r) {}
 
-  /// True when the row at the current position is unchanged (copy from
-  /// prev); false when a changed-row record follows; nullopt-style failure
-  /// via the `ok` out-param on a malformed token. A token of k means "k
-  /// copies, then one changed record" — except the trailing token, which
-  /// the row loop exhausts before the implied record is demanded.
+  /// True when the row at the current position is unchanged (keep the
+  /// previous record's row); false when a changed-row record follows;
+  /// nullopt-style failure via the `ok` out-param on a malformed token. A
+  /// token of k means "k copies, then one changed record" — except the
+  /// trailing token, which the row loop exhausts before the implied record
+  /// is demanded.
   bool next_is_copy(bool& ok) {
     ok = true;
     if (copies_ > 0) {
@@ -240,303 +104,371 @@ class RunDecoder {
   bool changed_next_ = false;
 };
 
+// Rows as the logical payload sees them: an empty row carries no fields, so
+// two empty rows are equal whatever stale flow they still hold, and a row
+// deltas against zeros when its base row is empty. The decoder keeps the
+// empty rows of its records zeroed (get_* and the deltas below both do), so
+// there the base row is the row itself.
+
+const core::WindowCell kEmptyCell{};
+const core::MonitorHalf kEmptyHalf{};
+
 // --- window snapshots -----------------------------------------------------
 
-bool encode_window_delta(std::span<const std::uint8_t> prev,
-                         std::span<const std::uint8_t> cur,
-                         std::vector<std::uint8_t>& out) {
-  wire::ByteReader pr(prev);
-  wire::ByteReader cr(cur);
-  const std::uint64_t p_taken = pr.u64(), p_epoch = pr.u64();
-  const std::uint64_t c_taken = cr.u64(), c_epoch = cr.u64();
-  const std::uint32_t p_windows = pr.u32(), c_windows = cr.u32();
-  if (!pr.ok() || !cr.ok() || p_windows != c_windows) return false;
-  put_svarint(out, diff(c_taken, p_taken));
-  put_svarint(out, diff(c_epoch, p_epoch));
+bool same_cell(const core::WindowCell& a, const core::WindowCell& b) {
+  return a.occupied == b.occupied &&
+         (!a.occupied || (a.flow == b.flow && a.cycle_id == b.cycle_id));
+}
+
+void put_cell_delta(std::vector<std::uint8_t>& buf,
+                    const core::WindowCell& prev, const core::WindowCell& cur) {
+  wire::put_u8(buf, cur.occupied ? 1 : 0);
+  if (!cur.occupied) return;
+  const core::WindowCell& base = prev.occupied ? prev : kEmptyCell;
+  put_flow_delta(buf, base.flow, cur.flow);
+  put_svarint(buf, diff(cur.cycle_id, base.cycle_id));
+}
+
+bool apply_cell_delta(wire::ByteReader& r, core::WindowCell& cell) {
+  const std::uint8_t occupied = r.u8();
+  if (!r.ok() || occupied > 1) return false;
+  if (occupied == 0) {
+    cell = kEmptyCell;
+    return true;
+  }
+  cell.occupied = true;
+  return get_flow_delta(r, cell.flow) && get_delta(r, cell.cycle_id);
+}
+
+bool encode_delta(const control::WindowSnapshot& prev,
+                  const control::WindowSnapshot& cur,
+                  std::vector<std::uint8_t>& out) {
+  if (prev.state.size() != cur.state.size()) return false;
+  put_svarint(out, diff(cur.taken_at, prev.taken_at));
+  put_svarint(out, diff(cur.epoch, prev.epoch));
   RunEncoder runs(out);
-  for (std::uint32_t w = 0; w < c_windows; ++w) {
-    const std::uint32_t p_cells = pr.u32(), c_cells = cr.u32();
-    if (!pr.ok() || !cr.ok() || p_cells != c_cells) return false;
-    for (std::uint32_t c = 0; c < c_cells; ++c) {
-      CellRow p, q;
-      if (!read_cell(pr, p) || !read_cell(cr, q)) return false;
-      if (p == q) {
+  for (std::size_t w = 0; w < cur.state.size(); ++w) {
+    const auto& p = prev.state[w];
+    const auto& q = cur.state[w];
+    if (p.size() != q.size()) return false;
+    for (std::size_t c = 0; c < q.size(); ++c) {
+      if (same_cell(p[c], q[c])) {
         runs.unchanged();
       } else {
         runs.changed();
-        put_cell_delta(out, p, q);
+        put_cell_delta(out, p[c], q[c]);
       }
     }
   }
-  if (pr.remaining() != 0 || cr.remaining() != 0) return false;
   runs.finish();
   return true;
 }
 
-bool decode_window_delta(std::span<const std::uint8_t> prev,
-                         std::span<const std::uint8_t> body,
-                         std::vector<std::uint8_t>& out) {
-  wire::ByteReader pr(prev);
-  wire::ByteReader br(body);
-  const std::uint64_t p_taken = pr.u64(), p_epoch = pr.u64();
-  const std::uint32_t windows = pr.u32();
-  std::int64_t d_taken = 0, d_epoch = 0;
-  if (!pr.ok() || !get_svarint(br, d_taken) || !get_svarint(br, d_epoch)) {
+bool apply_delta(wire::ByteReader& body, control::WindowSnapshot& base) {
+  if (!get_delta(body, base.taken_at) || !get_delta(body, base.epoch)) {
     return false;
   }
-  wire::put_u64(out, apply(p_taken, d_taken));
-  wire::put_u64(out, apply(p_epoch, d_epoch));
-  wire::put_u32(out, windows);
-  RunDecoder runs(br);
-  for (std::uint32_t w = 0; w < windows; ++w) {
-    const std::uint32_t cells = pr.u32();
-    if (!pr.ok()) return false;
-    wire::put_u32(out, cells);
-    for (std::uint32_t c = 0; c < cells; ++c) {
-      CellRow p;
-      if (!read_cell(pr, p)) return false;
+  RunDecoder runs(body);
+  for (auto& window : base.state) {
+    for (auto& cell : window) {
       bool ok = false;
-      if (runs.next_is_copy(ok)) {
-        write_cell(out, p);
-      } else if (ok) {
-        CellRow q;
-        if (!get_cell_delta(br, p, q)) return false;
-        write_cell(out, q);
-      } else {
-        return false;
-      }
+      if (runs.next_is_copy(ok)) continue;
+      if (!ok || !apply_cell_delta(body, cell)) return false;
     }
   }
-  return pr.remaining() == 0 && br.remaining() == 0 && runs.drained();
+  return body.remaining() == 0 && runs.drained();
 }
 
 // --- monitor snapshots ----------------------------------------------------
 
-bool encode_monitor_delta(std::span<const std::uint8_t> prev,
-                          std::span<const std::uint8_t> cur,
-                          std::vector<std::uint8_t>& out) {
-  wire::ByteReader pr(prev);
-  wire::ByteReader cr(cur);
-  const std::uint64_t p_taken = pr.u64(), p_epoch = pr.u64();
-  const std::uint64_t c_taken = cr.u64(), c_epoch = cr.u64();
-  const std::uint32_t p_top = pr.u32(), c_top = cr.u32();
-  const std::uint32_t p_entries = pr.u32(), c_entries = cr.u32();
-  if (!pr.ok() || !cr.ok() || p_entries != c_entries) return false;
-  put_svarint(out, diff(c_taken, p_taken));
-  put_svarint(out, diff(c_epoch, p_epoch));
-  put_svarint(out, diff(c_top, p_top));
-  RunEncoder runs(out);
-  for (std::uint32_t i = 0; i < c_entries; ++i) {
-    MonitorRow p, q;
-    if (!read_monitor_row(pr, p) || !read_monitor_row(cr, q)) return false;
-    if (p == q) {
-      runs.unchanged();
-    } else {
-      runs.changed();
-      const std::uint8_t flags = static_cast<std::uint8_t>(
-          (q.inc.valid ? 1 : 0) | (q.dec.valid ? 2 : 0));
-      wire::put_u8(out, flags);
-      put_half_delta(out, p.inc, q.inc);
-      put_half_delta(out, p.dec, q.dec);
-    }
+bool same_half(const core::MonitorHalf& a, const core::MonitorHalf& b) {
+  return a.valid == b.valid &&
+         (!a.valid || (a.flow == b.flow && a.seq == b.seq));
+}
+
+void put_half_delta(std::vector<std::uint8_t>& buf,
+                    const core::MonitorHalf& prev,
+                    const core::MonitorHalf& cur) {
+  if (!cur.valid) return;
+  const core::MonitorHalf& base = prev.valid ? prev : kEmptyHalf;
+  put_flow_delta(buf, base.flow, cur.flow);
+  put_svarint(buf, diff(cur.seq, base.seq));
+}
+
+bool apply_half_delta(wire::ByteReader& r, bool valid,
+                      core::MonitorHalf& half) {
+  if (!valid) {
+    half = kEmptyHalf;
+    return true;
   }
-  if (pr.remaining() != 0 || cr.remaining() != 0) return false;
+  half.valid = true;
+  return get_flow_delta(r, half.flow) && get_delta(r, half.seq);
+}
+
+bool encode_delta(const control::MonitorSnapshot& prev,
+                  const control::MonitorSnapshot& cur,
+                  std::vector<std::uint8_t>& out) {
+  const auto& p = prev.state.entries;
+  const auto& q = cur.state.entries;
+  if (p.size() != q.size()) return false;
+  put_svarint(out, diff(cur.taken_at, prev.taken_at));
+  put_svarint(out, diff(cur.epoch, prev.epoch));
+  put_svarint(out, diff(cur.state.top, prev.state.top));
+  RunEncoder runs(out);
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    if (same_half(p[i].inc, q[i].inc) && same_half(p[i].dec, q[i].dec)) {
+      runs.unchanged();
+      continue;
+    }
+    runs.changed();
+    wire::put_u8(out, static_cast<std::uint8_t>((q[i].inc.valid ? 1 : 0) |
+                                                (q[i].dec.valid ? 2 : 0)));
+    put_half_delta(out, p[i].inc, q[i].inc);
+    put_half_delta(out, p[i].dec, q[i].dec);
+  }
   runs.finish();
   return true;
 }
 
-bool decode_monitor_delta(std::span<const std::uint8_t> prev,
-                          std::span<const std::uint8_t> body,
-                          std::vector<std::uint8_t>& out) {
-  wire::ByteReader pr(prev);
-  wire::ByteReader br(body);
-  const std::uint64_t p_taken = pr.u64(), p_epoch = pr.u64();
-  const std::uint32_t p_top = pr.u32();
-  const std::uint32_t entries = pr.u32();
-  std::int64_t d_taken = 0, d_epoch = 0, d_top = 0;
-  if (!pr.ok() || !get_svarint(br, d_taken) || !get_svarint(br, d_epoch) ||
-      !get_svarint(br, d_top)) {
+bool apply_delta(wire::ByteReader& body, control::MonitorSnapshot& base) {
+  if (!get_delta(body, base.taken_at) || !get_delta(body, base.epoch) ||
+      !get_delta(body, base.state.top)) {
     return false;
   }
-  wire::put_u64(out, apply(p_taken, d_taken));
-  wire::put_u64(out, apply(p_epoch, d_epoch));
-  wire::put_u32(out, static_cast<std::uint32_t>(apply(p_top, d_top)));
-  wire::put_u32(out, entries);
-  RunDecoder runs(br);
-  for (std::uint32_t i = 0; i < entries; ++i) {
-    MonitorRow p;
-    if (!read_monitor_row(pr, p)) return false;
+  RunDecoder runs(body);
+  for (auto& e : base.state.entries) {
     bool ok = false;
-    if (runs.next_is_copy(ok)) {
-      write_monitor_row(out, p);
-    } else if (ok) {
-      const std::uint8_t flags = br.u8();
-      if (!br.ok() || (flags & ~3u) != 0) return false;
-      MonitorRow q;
-      if (!get_half_delta(br, p.inc, (flags & 1) != 0, q.inc) ||
-          !get_half_delta(br, p.dec, (flags & 2) != 0, q.dec)) {
-        return false;
-      }
-      write_monitor_row(out, q);
-    } else {
+    if (runs.next_is_copy(ok)) continue;
+    if (!ok) return false;
+    const std::uint8_t flags = body.u8();
+    if (!body.ok() || (flags & ~3u) != 0 ||
+        !apply_half_delta(body, (flags & 1) != 0, e.inc) ||
+        !apply_half_delta(body, (flags & 2) != 0, e.dec)) {
       return false;
     }
   }
-  return pr.remaining() == 0 && br.remaining() == 0 && runs.drained();
+  return body.remaining() == 0 && runs.drained();
 }
 
 // --- calibration records --------------------------------------------------
 
-bool encode_calibration_delta(std::span<const std::uint8_t> prev,
-                              std::span<const std::uint8_t> cur,
-                              std::vector<std::uint8_t>& out) {
-  wire::ByteReader pr(prev);
-  wire::ByteReader cr(cur);
-  const std::uint64_t p_taken = pr.u64(), c_taken = cr.u64();
-  std::uint32_t p_fields[5], c_fields[5];
-  for (int i = 0; i < 5; ++i) {
-    p_fields[i] = pr.u32();
-    c_fields[i] = cr.u32();
-  }
-  const std::uint8_t p_wrap = pr.u8(), c_wrap = cr.u8();
-  const std::uint32_t p_levels = pr.u32(), c_levels = cr.u32();
-  const std::uint64_t z0_bits = cr.u64();
-  pr.u64();  // prev z0
-  if (!pr.ok() || !cr.ok() || pr.remaining() != 0 || cr.remaining() != 0) {
+bool encode_delta(const control::CalibrationRecord& prev,
+                  const control::CalibrationRecord& cur,
+                  std::vector<std::uint8_t>& out) {
+  const core::TimeWindowParams& p = prev.window_params;
+  const core::TimeWindowParams& q = cur.window_params;
+  put_svarint(out, diff(cur.taken_at, prev.taken_at));
+  put_svarint(out, diff(q.m0, p.m0));
+  put_svarint(out, diff(q.alpha, p.alpha));
+  put_svarint(out, diff(q.k, p.k));
+  put_svarint(out, diff(q.num_windows, p.num_windows));
+  put_svarint(out, diff(q.num_ports, p.num_ports));
+  wire::put_u8(out, q.wrap32 ? 1 : 0);
+  put_svarint(out, diff(cur.monitor_levels, prev.monitor_levels));
+  wire::put_f64(out, cur.z0);  // FP bits: never deltaed, always verbatim
+  return true;
+}
+
+bool apply_delta(wire::ByteReader& body, control::CalibrationRecord& base) {
+  core::TimeWindowParams& p = base.window_params;
+  if (!get_delta(body, base.taken_at) || !get_delta(body, p.m0) ||
+      !get_delta(body, p.alpha) || !get_delta(body, p.k) ||
+      !get_delta(body, p.num_windows) || !get_delta(body, p.num_ports)) {
     return false;
   }
-  (void)p_wrap;
-  put_svarint(out, diff(c_taken, p_taken));
-  for (int i = 0; i < 5; ++i) put_svarint(out, diff(c_fields[i], p_fields[i]));
-  wire::put_u8(out, c_wrap);
-  put_svarint(out, diff(c_levels, p_levels));
-  wire::put_u64(out, z0_bits);  // FP bits: never deltaed, always verbatim
-  return true;
+  const std::uint8_t wrap = body.u8();
+  if (!body.ok() || wrap > 1 || !get_delta(body, base.monitor_levels)) {
+    return false;
+  }
+  p.wrap32 = wrap != 0;
+  base.z0 = wire::get_f64(body);
+  return body.ok() && body.remaining() == 0;
 }
 
-bool decode_calibration_delta(std::span<const std::uint8_t> prev,
-                              std::span<const std::uint8_t> body,
-                              std::vector<std::uint8_t>& out) {
-  wire::ByteReader pr(prev);
-  wire::ByteReader br(body);
-  const std::uint64_t p_taken = pr.u64();
-  std::uint32_t p_fields[5];
-  for (auto& f : p_fields) f = pr.u32();
-  pr.u8();   // prev wrap32
-  const std::uint32_t p_levels = pr.u32();
-  pr.u64();  // prev z0
-  if (!pr.ok() || pr.remaining() != 0) return false;
-  std::int64_t d_taken = 0, d_fields[5], d_levels = 0;
-  if (!get_svarint(br, d_taken)) return false;
-  for (auto& d : d_fields) {
-    if (!get_svarint(br, d)) return false;
-  }
-  const std::uint8_t wrap = br.u8();
-  if (!br.ok() || wrap > 1 || !get_svarint(br, d_levels)) return false;
-  const std::uint64_t z0_bits = br.u64();
-  if (!br.ok() || br.remaining() != 0) return false;
-  wire::put_u64(out, apply(p_taken, d_taken));
-  for (int i = 0; i < 5; ++i) {
-    wire::put_u32(out,
-                  static_cast<std::uint32_t>(apply(p_fields[i], d_fields[i])));
-  }
-  wire::put_u8(out, wrap);
-  wire::put_u32(out, static_cast<std::uint32_t>(apply(p_levels, d_levels)));
-  wire::put_u64(out, z0_bits);
-  return true;
+// --- raw payloads ---------------------------------------------------------
+
+void put_record(std::vector<std::uint8_t>& buf,
+                const control::WindowSnapshot& rec) {
+  control::put_window_snapshot(buf, rec);
+}
+void put_record(std::vector<std::uint8_t>& buf,
+                const control::MonitorSnapshot& rec) {
+  control::put_monitor_snapshot(buf, rec);
+}
+void put_record(std::vector<std::uint8_t>& buf,
+                const control::CalibrationRecord& rec) {
+  control::put_calibration(buf, rec);
 }
 
-/// Encodes `cur` as a delta body against `prev` (both logical payloads of
-/// the same kind). Returns false, leaving `out` unspecified, when the kind
-/// never deltas (DQ captures), the snapshots' structure differs, or either
-/// payload fails to parse.
-bool encode_delta_payload(BlockKind kind, std::span<const std::uint8_t> prev,
-                          std::span<const std::uint8_t> cur,
-                          std::vector<std::uint8_t>& out) {
+void get_record(wire::ByteReader& r, control::WindowSnapshot& rec) {
+  rec = control::get_window_snapshot(r);
+}
+void get_record(wire::ByteReader& r, control::MonitorSnapshot& rec) {
+  rec = control::get_monitor_snapshot(r);
+}
+/// A layout core::TtsLayout refuses still parses: ArchiveReader::to_records
+/// skips such a calibration, the chain keeps it.
+void get_record(wire::ByteReader& r, control::CalibrationRecord& rec) {
+  control::get_calibration(r, rec);
+}
+
+/// Parses all of `bytes` as one record.
+template <class Record>
+bool parse(std::span<const std::uint8_t> bytes, Record& rec) {
+  wire::ByteReader r(bytes);
+  try {
+    get_record(r, rec);
+  } catch (const control::RecordsError&) {
+    return false;
+  }
+  return r.ok() && r.remaining() == 0;
+}
+
+void put_raw(std::span<const std::uint8_t> logical,
+             std::vector<std::uint8_t>& out) {
   out.clear();
-  switch (kind) {
-    case BlockKind::kWindowSnapshot:
-      return encode_window_delta(prev, cur, out);
-    case BlockKind::kMonitorSnapshot:
-      return encode_monitor_delta(prev, cur, out);
-    case BlockKind::kCalibration:
-      return encode_calibration_delta(prev, cur, out);
-    case BlockKind::kDqCapture:
-      return false;  // rare and irregular: always raw
-  }
-  return false;
+  out.reserve(logical.size() + 1);
+  out.push_back(kEncodingRaw);
+  out.insert(out.end(), logical.begin(), logical.end());
 }
 
-/// Reconstructs the logical payload from a delta `body` and the previous
-/// block's logical payload. Returns false on any malformed input.
-bool decode_delta_payload(BlockKind kind, std::span<const std::uint8_t> prev,
-                          std::span<const std::uint8_t> body,
-                          std::vector<std::uint8_t>& out) {
-  out.clear();
-  switch (kind) {
-    case BlockKind::kWindowSnapshot:
-      return decode_window_delta(prev, body, out);
-    case BlockKind::kMonitorSnapshot:
-      return decode_monitor_delta(prev, body, out);
-    case BlockKind::kCalibration:
-      return decode_calibration_delta(prev, body, out);
-    case BlockKind::kDqCapture:
-      return false;
+template <class Record>
+BlockDecodeStatus decode_record(std::map<std::uint32_t, Record>& bases,
+                                std::uint32_t partition, bool delta,
+                                std::span<const std::uint8_t> body,
+                                std::vector<std::uint8_t>& logical) {
+  if (!delta) {
+    if (!parse(body, bases[partition])) {
+      return BlockDecodeStatus::kMalformedRecord;
+    }
+    logical.assign(body.begin(), body.end());
+    return BlockDecodeStatus::kOk;
   }
-  return false;
-}
-
-std::pair<std::uint8_t, std::uint32_t> base_key(BlockKind kind,
-                                                std::uint32_t partition) {
-  return {static_cast<std::uint8_t>(kind), partition};
+  const auto base = bases.find(partition);
+  if (base == bases.end()) return BlockDecodeStatus::kMissingDeltaBase;
+  wire::ByteReader r(body);
+  if (!apply_delta(r, base->second)) return BlockDecodeStatus::kCorruptDelta;
+  logical.clear();
+  put_record(logical, base->second);
+  return BlockDecodeStatus::kOk;
 }
 
 }  // namespace
 
-bool SegmentPayloadCodec::encode(BlockKind kind, std::uint32_t partition,
+template <class Record>
+bool SegmentPayloadCodec::encode(std::uint32_t partition, const Record& rec,
                                  std::span<const std::uint8_t> logical,
                                  std::vector<std::uint8_t>& out) const {
-  out.clear();
-  const auto base = bases_.find(base_key(kind, partition));
-  std::vector<std::uint8_t> body;
-  if (base != bases_.end() &&
-      encode_delta_payload(kind, base->second, logical, body) &&
-      body.size() < logical.size()) {
-    out.reserve(body.size() + 1);
-    out.push_back(kEncodingDelta);
-    out.insert(out.end(), body.begin(), body.end());
-    return true;
+  if constexpr (!std::is_same_v<Record, control::DqCapture>) {
+    const auto& bases = std::get<Bases<Record>>(bases_);
+    const auto base = bases.find(partition);
+    if (base != bases.end()) {
+      out.clear();
+      out.push_back(kEncodingDelta);
+      if (encode_delta(base->second, rec, out) &&
+          out.size() - 1 < logical.size()) {
+        return true;
+      }
+    }
   }
-  out.reserve(logical.size() + 1);
-  out.push_back(kEncodingRaw);
-  out.insert(out.end(), logical.begin(), logical.end());
+  put_raw(logical, out);
   return false;
 }
 
-void SegmentPayloadCodec::advance(BlockKind kind, std::uint32_t partition,
-                                  std::span<const std::uint8_t> logical) {
-  if (kind == BlockKind::kDqCapture) return;
-  bases_[base_key(kind, partition)].assign(logical.begin(), logical.end());
+template <class Record>
+void SegmentPayloadCodec::advance(std::uint32_t partition, const Record& rec) {
+  if constexpr (!std::is_same_v<Record, control::DqCapture>) {
+    std::get<Bases<Record>>(bases_)[partition] = rec;
+  }
+}
+
+template bool SegmentPayloadCodec::encode(
+    std::uint32_t, const control::WindowSnapshot&,
+    std::span<const std::uint8_t>, std::vector<std::uint8_t>&) const;
+template bool SegmentPayloadCodec::encode(
+    std::uint32_t, const control::MonitorSnapshot&,
+    std::span<const std::uint8_t>, std::vector<std::uint8_t>&) const;
+template bool SegmentPayloadCodec::encode(
+    std::uint32_t, const control::CalibrationRecord&,
+    std::span<const std::uint8_t>, std::vector<std::uint8_t>&) const;
+template bool SegmentPayloadCodec::encode(
+    std::uint32_t, const control::DqCapture&, std::span<const std::uint8_t>,
+    std::vector<std::uint8_t>&) const;
+template void SegmentPayloadCodec::advance(std::uint32_t,
+                                           const control::WindowSnapshot&);
+template void SegmentPayloadCodec::advance(std::uint32_t,
+                                           const control::MonitorSnapshot&);
+template void SegmentPayloadCodec::advance(std::uint32_t,
+                                           const control::CalibrationRecord&);
+template void SegmentPayloadCodec::advance(std::uint32_t,
+                                           const control::DqCapture&);
+
+namespace {
+
+template <class Record>
+bool encode_parsed(SegmentPayloadCodec& codec, std::uint32_t partition,
+                   std::span<const std::uint8_t> logical,
+                   std::vector<std::uint8_t>& out) {
+  Record rec;
+  parse(logical, rec);  // decode() accepted these bytes, so they parse
+  const bool delta = codec.encode(partition, rec, logical, out);
+  codec.advance(partition, rec);
+  return delta;
+}
+
+}  // namespace
+
+bool SegmentPayloadCodec::encode_logical(BlockKind kind,
+                                         std::uint32_t partition,
+                                         std::span<const std::uint8_t> logical,
+                                         std::vector<std::uint8_t>& out) {
+  switch (kind) {
+    case BlockKind::kWindowSnapshot:
+      return encode_parsed<control::WindowSnapshot>(*this, partition, logical,
+                                                    out);
+    case BlockKind::kMonitorSnapshot:
+      return encode_parsed<control::MonitorSnapshot>(*this, partition,
+                                                     logical, out);
+    case BlockKind::kCalibration:
+      return encode_parsed<control::CalibrationRecord>(*this, partition,
+                                                       logical, out);
+    case BlockKind::kDqCapture:
+      break;
+  }
+  put_raw(logical, out);
+  return false;
 }
 
 BlockDecodeStatus SegmentPayloadCodec::decode(
-    BlockKind kind, std::uint32_t partition,
+    std::uint16_t version, BlockKind kind, std::uint32_t partition,
     std::span<const std::uint8_t> payload, std::vector<std::uint8_t>& logical) {
-  if (payload.empty() ||
-      (payload[0] != kEncodingRaw && payload[0] != kEncodingDelta)) {
-    return BlockDecodeStatus::kBadEncodingTag;
-  }
-  const auto body = payload.subspan(1);
-  if (payload[0] == kEncodingRaw) {
-    logical.assign(body.begin(), body.end());
-  } else {
-    const auto base = bases_.find(base_key(kind, partition));
-    if (base == bases_.end()) return BlockDecodeStatus::kMissingDeltaBase;
-    if (!decode_delta_payload(kind, base->second, body, logical)) {
-      return BlockDecodeStatus::kCorruptDelta;
+  bool delta = false;
+  if (version >= kFormatVersionV2) {
+    if (payload.empty() ||
+        (payload[0] != kEncodingRaw && payload[0] != kEncodingDelta)) {
+      return BlockDecodeStatus::kBadEncodingTag;
     }
+    delta = payload[0] == kEncodingDelta;
+    payload = payload.subspan(1);
   }
-  advance(kind, partition, logical);
+  switch (kind) {
+    case BlockKind::kWindowSnapshot:
+      return decode_record(std::get<Bases<control::WindowSnapshot>>(bases_),
+                           partition, delta, payload, logical);
+    case BlockKind::kMonitorSnapshot:
+      return decode_record(std::get<Bases<control::MonitorSnapshot>>(bases_),
+                           partition, delta, payload, logical);
+    case BlockKind::kCalibration:
+      return decode_record(
+          std::get<Bases<control::CalibrationRecord>>(bases_), partition,
+          delta, payload, logical);
+    case BlockKind::kDqCapture:
+      break;
+  }
+  // A DQ capture is never a base, and its payload is parsed only on demand
+  // (ArchiveReader::dq_captures).
+  if (delta) return BlockDecodeStatus::kMissingDeltaBase;
+  logical.assign(payload.begin(), payload.end());
   return BlockDecodeStatus::kOk;
 }
 

@@ -5,16 +5,24 @@
 // byte:
 //
 //   [kEncodingRaw]   the v1 logical payload verbatim
-//   [kEncodingDelta] a row-delta against the previous block of the same
+//   [kEncodingDelta] a row-delta against the previous record of the same
 //                    (kind, partition) *within the same segment*
 //
-// A delta body stores the snapshot header fields as zig-zag varint
-// differences, then walks the cell/entry rows of both snapshots in
-// lockstep: runs of unchanged rows collapse into one varint skip count,
-// changed rows re-encode as zig-zag varint field deltas against the row at
-// the same position in the previous snapshot (zero baseline when the
-// previous row was empty). Register snapshots are near-identical from poll
-// to poll, so the common block shrinks to a few bytes per changed cell.
+// A delta body stores the record's header fields as zig-zag varint
+// differences, then walks the cell/entry rows of both records in lockstep:
+// runs of unchanged rows collapse into one varint skip count, changed rows
+// re-encode as zig-zag varint field deltas against the row at the same
+// position in the previous record (zero baseline when the previous row was
+// empty). Register snapshots are near-identical from poll to poll, so the
+// common block shrinks to a few bytes per changed cell.
+//
+// The codec works on the records themselves (control/snapshots.h,
+// control/telemetry_sink.h), never on their bytes: the encoder diffs the
+// record the writer holds against the previous one, and the decoder applies
+// a delta in place to the previous decoded record and serializes the result
+// with control/register_records' put_*. A raw payload is parsed with its
+// get_*, completely and strictly, so control/register_records stays the one
+// reader and writer of the record layout.
 //
 // Delta bases reset at every segment boundary (the first block of each
 // (kind, partition) in a segment is written raw), which keeps segments
@@ -23,10 +31,10 @@
 // Structure changes (a calibration resizing the register file) and
 // dq-captures fall back to raw — the encoder refuses, it never guesses.
 //
-// Both directions are total functions over untrusted bytes: the decoder
-// bounds-checks every varint and count and returns false on any
-// malformation, so a CRC-valid but undecodable block surfaces as a typed
-// recovery error instead of garbage snapshots.
+// The decoder is a total function over untrusted bytes: it bounds-checks
+// every varint and count and reports any malformation, so a CRC-valid but
+// undecodable block surfaces as a typed recovery error instead of garbage
+// snapshots.
 //
 // SegmentPayloadCodec is the one place that applies the tag and base rules;
 // ArchiveWriter and the compactor encode through it and the segment-chain
@@ -36,9 +44,11 @@
 #include <cstdint>
 #include <map>
 #include <span>
-#include <utility>
+#include <tuple>
 #include <vector>
 
+#include "control/snapshots.h"
+#include "control/telemetry_sink.h"
 #include "store/archive_format.h"
 
 namespace pq::store {
@@ -48,36 +58,51 @@ inline constexpr std::uint8_t kEncodingRaw = 0;
 inline constexpr std::uint8_t kEncodingDelta = 1;
 
 /// The v2 payload coder of one segment, in both directions. It keeps one
-/// delta base per (kind, partition): the previous logical payload of that
-/// kind and partition in the segment. A block is written as a delta against
-/// its base only when the delta is smaller than the raw payload; a DQ
-/// capture never becomes a base; reset() at every segment boundary forgets
-/// every base, so each segment decodes on its own.
+/// delta base per (kind, partition): the previous record of that kind and
+/// partition in the segment. A block is written as a delta against its base
+/// only when the delta is smaller than the raw payload; a DQ capture never
+/// becomes a base; reset() at every segment boundary forgets every base, so
+/// each segment decodes on its own.
 class SegmentPayloadCodec {
  public:
-  /// Sets `out` to the v2 payload of the logical payload `logical` and
-  /// returns true if it is a delta. Leaves the bases alone: the caller
-  /// commits the block with advance() once it knows the block is written
-  /// in this segment.
-  bool encode(BlockKind kind, std::uint32_t partition,
+  /// Sets `out` to the v2 payload of `rec`, a WindowSnapshot,
+  /// MonitorSnapshot, CalibrationRecord or DqCapture whose logical payload
+  /// (its control/register_records encoding) is `logical`, and returns true
+  /// if it is a delta. Leaves the bases alone: the caller commits the record
+  /// with advance() once it knows the block is written in this segment.
+  template <class Record>
+  bool encode(std::uint32_t partition, const Record& rec,
               std::span<const std::uint8_t> logical,
               std::vector<std::uint8_t>& out) const;
 
-  /// Makes `logical` the base of its (kind, partition) for the next block.
-  void advance(BlockKind kind, std::uint32_t partition,
-               std::span<const std::uint8_t> logical);
+  /// Makes `rec` the base of its kind and partition for the next block.
+  template <class Record>
+  void advance(std::uint32_t partition, const Record& rec);
 
-  /// Sets `logical` to the logical payload of the v2 `payload` and, on
-  /// success, advances the base. On failure `logical` is unspecified.
-  BlockDecodeStatus decode(BlockKind kind, std::uint32_t partition,
+  /// encode() and advance() for a logical payload of `kind` that decode()
+  /// accepted, parsed back into its record: the compactor's re-encode.
+  bool encode_logical(BlockKind kind, std::uint32_t partition,
+                      std::span<const std::uint8_t> logical,
+                      std::vector<std::uint8_t>& out);
+
+  /// Sets `logical` to the logical payload of `payload`, one block of a
+  /// segment in format `version` (a v1 payload is a raw body without the
+  /// tag), and on success advances the base. On failure `logical` and the
+  /// bases are unspecified: the segment's chain ends at this block.
+  BlockDecodeStatus decode(std::uint16_t version, BlockKind kind,
+                           std::uint32_t partition,
                            std::span<const std::uint8_t> payload,
                            std::vector<std::uint8_t>& logical);
 
   /// Starts a new segment.
-  void reset() { bases_.clear(); }
+  void reset() { bases_ = {}; }
 
  private:
-  std::map<std::pair<std::uint8_t, std::uint32_t>, std::vector<std::uint8_t>>
+  template <class Record>
+  using Bases = std::map<std::uint32_t, Record>;
+
+  std::tuple<Bases<control::WindowSnapshot>, Bases<control::MonitorSnapshot>,
+             Bases<control::CalibrationRecord>>
       bases_;
 };
 

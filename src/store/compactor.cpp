@@ -34,8 +34,7 @@ std::vector<std::uint8_t> encode_segment(SegmentHeader header,
   index.reserve(blocks.size());
   std::vector<std::uint8_t> payload;
   for (const auto& b : blocks) {
-    codec.encode(b.kind, b.partition, b.payload, payload);
-    codec.advance(b.kind, b.partition, b.payload);
+    codec.encode_logical(b.kind, b.partition, b.payload, payload);
     const auto frame =
         encode_block(b.kind, b.partition, b.t_lo, b.t_hi, payload);
     index.push_back({b.kind, b.partition, b.t_lo, b.t_hi, bytes.size(),

@@ -52,16 +52,12 @@ void decode_blocks(std::span<const std::uint8_t> data, ChainSegment& seg) {
     const auto payload = data.subspan(e.offset + kBlockOverheadBytes - 4,
                                       e.length - kBlockOverheadBytes);
     RecoveredBlock block{e.kind, e.partition, e.t_lo, e.t_hi, {}};
-    if (scan.header.version < kFormatVersionV2) {
-      block.payload.assign(payload.begin(), payload.end());
-    } else {
-      seg.decode_status =
-          codec.decode(e.kind, e.partition, payload, block.payload);
-      if (seg.decode_status != BlockDecodeStatus::kOk) {
-        // CRC-valid but undecodable: the prefix ends right before it.
-        seg.valid_bytes = e.offset;
-        return;
-      }
+    seg.decode_status = codec.decode(scan.header.version, e.kind, e.partition,
+                                     payload, block.payload);
+    if (seg.decode_status != BlockDecodeStatus::kOk) {
+      // CRC-valid but undecodable: the prefix ends right before it.
+      seg.valid_bytes = e.offset;
+      return;
     }
     seg.blocks.push_back(std::move(block));
   }

@@ -135,27 +135,6 @@ void write_stream_file(const std::string& path,
   if (!out) throw std::runtime_error("stream write failed");
 }
 
-std::vector<TelemetryRecord> read_stream_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::vector<std::uint8_t> buf(std::istreambuf_iterator<char>(in), {});
-  std::vector<TelemetryRecord> recs;
-  std::size_t pos = 0;
-  while (pos < buf.size()) {
-    const auto d = decode_record_frame(
-        std::span<const std::uint8_t>(buf).subspan(pos));
-    if (d.status == FrameStatus::kOk) {
-      recs.push_back(d.record);
-      pos += d.consumed;
-    } else if (d.status == FrameStatus::kCorrupt) {
-      pos += d.consumed;
-    } else {
-      break;  // torn tail: a crash mid-append; keep the clean prefix
-    }
-  }
-  return recs;
-}
-
 void write_trace(std::ostream& out, const std::vector<TelemetryRecord>& recs) {
   std::vector<std::uint8_t> buf;
   put_u32(buf, kTraceMagic);

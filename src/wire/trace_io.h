@@ -66,10 +66,6 @@ FrameDecode decode_record_frame(std::span<const std::uint8_t> buf);
 void write_stream_file(const std::string& path,
                        const std::vector<TelemetryRecord>& recs);
 
-/// Decodes every clean frame in a file, silently skipping corrupt spans and
-/// a torn tail (the tolerant batch counterpart of the streaming decoder).
-std::vector<TelemetryRecord> read_stream_file(const std::string& path);
-
 /// Serializes records to a stream. Throws std::runtime_error on I/O failure.
 void write_trace(std::ostream& out, const std::vector<TelemetryRecord>& recs);
 

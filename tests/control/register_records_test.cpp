@@ -226,6 +226,36 @@ TEST(RegisterRecordsErrors, UnusableLayoutRejected) {
             RecordsErrorCode::kBadLayout);
 }
 
+TEST(RegisterRecordsErrors, UndefinedFlagBitsRejected) {
+  // An occupied byte above 1 or monitor flag bits above 3 are nothing put_*
+  // writes: the getters refuse them rather than read them as set, so every
+  // snapshot they accept re-encodes to its own bytes.
+  const auto code_of = [](auto get, const std::vector<std::uint8_t>& buf) {
+    wire::ByteReader r(buf);
+    try {
+      get(r);
+    } catch (const RecordsError& e) {
+      return std::optional<RecordsErrorCode>(e.code());
+    }
+    return std::optional<RecordsErrorCode>();
+  };
+  WindowSnapshot window;
+  window.state = {{core::WindowCell{}}};
+  std::vector<std::uint8_t> buf;
+  put_window_snapshot(buf, window);
+  EXPECT_EQ(code_of(get_window_snapshot, buf), std::nullopt);
+  buf.back() = 2;  // the one cell's occupied byte
+  EXPECT_EQ(code_of(get_window_snapshot, buf), RecordsErrorCode::kBadFlags);
+
+  MonitorSnapshot monitor;
+  monitor.state.entries.resize(1);
+  buf.clear();
+  put_monitor_snapshot(buf, monitor);
+  EXPECT_EQ(code_of(get_monitor_snapshot, buf), std::nullopt);
+  buf.back() = 4;  // the one entry's validity flags
+  EXPECT_EQ(code_of(get_monitor_snapshot, buf), RecordsErrorCode::kBadFlags);
+}
+
 TEST(RegisterRecords, CalibrationWithUnusableLayoutIsRefused) {
   CalibrationRecord cal;
   cal.taken_at = 5000;

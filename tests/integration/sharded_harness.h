@@ -140,7 +140,6 @@ inline store::ArchiveOptions harness_archive_options(const std::string& dir) {
   store::ArchiveOptions opts;
   opts.dir = dir;
   opts.segment_bytes = 32 * 1024;
-  opts.flush_watermark_bytes = 16 * 1024;
   return opts;
 }
 

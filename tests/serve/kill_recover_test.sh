@@ -82,7 +82,7 @@ for SEED in 1 2 3; do
   # Append the stream in frame-aligned chunks; kill -9 as soon as a full
   # checkpoint group has demonstrably reached the disk. The group's LAST
   # block is the calibration (kind=4) — appends preserve emission order and
-  # the daemon's durability tick (--flush-every-ms) pushes sub-watermark
+  # the daemon's durability tick (--flush-every-ms) pushes stdio-buffered
   # blocks to the kernel, so kind=4 on disk implies its window and monitor
   # snapshots are there too and the surviving span is queryable.
   CHUNK=$(( (TOTAL_BYTES / 10 / 61) * 61 ))

@@ -18,6 +18,7 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "core/tts_layout.h"
 #include "faults/fault_plan.h"
 #include "store/archive.h"
 #include "store/archive_reader.h"
@@ -41,21 +42,35 @@ core::TimeWindowParams small_params() {
   return p;
 }
 
+/// A checkpoint whose occupied cells are all live at `taken_at`: each
+/// window's cells carry the cycle IDs the stale-cell filter keeps, so
+/// windows 1 and 2, whose counts z0 scales, answer as well as window 0.
 control::WindowSnapshot synth_snapshot(Timestamp taken_at,
                                        std::uint32_t seed) {
   const auto p = small_params();
+  const core::TtsLayout layout(p);
   control::WindowSnapshot snap;
   snap.taken_at = taken_at;
   snap.epoch = seed;
   snap.state.resize(p.num_windows);
+  // The newest cell of window 0, then the newest cell each older window
+  // can hold (one window period back, compressed by alpha).
+  std::uint64_t tts = layout.tts0(taken_at);
   for (std::uint32_t w = 0; w < p.num_windows; ++w) {
+    const std::uint64_t idx = layout.index_of(tts);
+    const std::uint64_t cycle = layout.cycle_of(tts);
     snap.state[w].resize(1u << p.k);
-    for (std::uint32_t c = seed % 3; c < (1u << p.k); c += 2) {
+    for (std::uint32_t c = 0; c < (1u << p.k); ++c) {
+      const bool newest = w == 0 && c == idx;
+      if (((c + seed) % 2 != 0 && !newest) || (c > idx && cycle == 0)) {
+        continue;
+      }
       auto& cell = snap.state[w][c];
       cell.occupied = true;
       cell.flow = make_flow(seed * 1000 + w * 64 + c);
-      cell.cycle_id = seed + w + 1;
+      cell.cycle_id = c <= idx ? cycle : cycle - 1;
     }
+    tts = (tts - (1u << p.k)) >> p.alpha;
   }
   return snap;
 }
@@ -242,6 +257,7 @@ TEST_P(ArchiveRecoveryProperty, TornWriteInjectorDiesIntoARecoverablePrefix) {
   // High tear probability: the writer dies somewhere early in every trial.
   faults::FaultLog log;
   int nonempty_windows = 0;
+  int nonempty_older_windows = 0;
   int nonempty_monitors = 0;
   for (int trial = 0; trial < 8; ++trial) {
     faults::TornWriteConfig cfg;
@@ -277,6 +293,17 @@ TEST_P(ArchiveRecoveryProperty, TornWriteInjectorDiesIntoARecoverablePrefix) {
               intact.query_time_windows(0, 0, 2'000'000, 0, horizon))
         << "trial " << trial << " as of " << horizon;
     nonempty_windows += windows.empty() ? 0 : 1;
+    // Window 1 of the checkpoint at t answers (t - 45 us, t - 20 us]: its
+    // counts are scaled by z0, so this pins the calibration the prefix
+    // resolves (z0 = 0.25 + 0.001 i), not just the snapshots.
+    for (Timestamp t = 50'000; t <= horizon; t += 50'000) {
+      const auto older = r.query_time_windows(0, t - 45'000, t - 20'000, 0,
+                                              horizon);
+      EXPECT_EQ(older, intact.query_time_windows(0, t - 45'000, t - 20'000,
+                                                 0, horizon))
+          << "trial " << trial << " t " << t << " as of " << horizon;
+      nonempty_older_windows += older.empty() ? 0 : 1;
+    }
     // Every 50 us snapshot instant the horizon still covers.
     for (Timestamp t = 50'000; t <= horizon; t += 50'000) {
       const auto got = r.query_queue_monitor(0, t, 0, horizon);
@@ -295,6 +322,7 @@ TEST_P(ArchiveRecoveryProperty, TornWriteInjectorDiesIntoARecoverablePrefix) {
   // Non-empty answers somewhere, so the comparisons above cannot pass
   // vacuously.
   EXPECT_GT(nonempty_windows, 0);
+  EXPECT_GT(nonempty_older_windows, 0);
   EXPECT_GT(nonempty_monitors, 0);
 }
 

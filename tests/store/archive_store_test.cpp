@@ -1,7 +1,7 @@
 // pq::store writer/reader unit coverage: clean roundtrips, segment rolling,
-// inline queue flushes, fsync policies, footer verification and the byte-match
-// with the one-shot records path. The crash/corruption behaviour has its
-// own suite (archive_recovery_property_test.cpp).
+// fsync policies, footer verification and the byte-match with the one-shot
+// records path. The crash/corruption behaviour has its own suite
+// (archive_recovery_property_test.cpp).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -238,22 +238,31 @@ TEST(ArchiveStore, V2SegmentsRollWithPerSegmentKeyframes) {
   }
 }
 
-TEST(ArchiveStore, BackpressurePolicyLosesNothing) {
+TEST(ArchiveStore, PerBlockFsyncMakesEveryBlockRecoverableAtOnce) {
+  // kPerBlock makes each block durable when its event arrives: a reader
+  // opened after every event, with no flush and no close, recovers every
+  // block emitted so far, small calibration blocks included.
   const TempDir dir;
   store::ArchiveOptions opts;
   opts.dir = dir.path();
-  opts.flush_watermark_bytes = 1;  // every append flushes inline
   opts.fsync = store::FsyncPolicy::kPerBlock;
   store::ArchiveWriter w(0, test_params(), 8, opts);
   for (std::uint32_t i = 0; i < 10; ++i) {
-    w.on_window_snapshot(0, make_window_snapshot(10'000 * (i + 1), i + 1));
+    const Timestamp t = 10'000 * (i + 1);
+    switch (i % 3) {
+      case 0: w.on_window_snapshot(0, make_window_snapshot(t, i + 1)); break;
+      case 1: w.on_monitor_snapshot(0, make_monitor_snapshot(t, i + 1)); break;
+      default: w.on_calibration(make_calibration(t, 0.5)); break;
+    }
+    EXPECT_EQ(w.stats().blocks_appended, i + 1);
+    EXPECT_GE(w.stats().fsyncs, i + 1);
+    const store::ArchiveReader r(dir.path());
+    EXPECT_EQ(r.stats().blocks_recovered, i + 1) << "after event " << i;
   }
   w.close();
-  EXPECT_EQ(w.stats().blocks_appended, 10u);
-  EXPECT_EQ(w.stats().flushes, 10u);
-  EXPECT_GE(w.stats().fsyncs, 10u);
-  store::ArchiveReader r(dir.path());
+  const store::ArchiveReader r(dir.path());
   EXPECT_EQ(r.stats().blocks_recovered, 10u);
+  EXPECT_EQ(r.stats().recoveries, 0u);
 }
 
 TEST(ArchiveStore, MissingDirectoryThrowsButEmptyDirReadsEmpty) {

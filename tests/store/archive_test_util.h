@@ -1,18 +1,18 @@
 // Archive helpers shared by the store suites: whole-file byte access, a
 // rewrite of a v2-written archive as archive v1 (the frozen format no
-// writer produces any more, so the v1 read paths keep their inputs), and a
-// CRC-valid but undecodable v2 block.
+// writer produces any more, so the v1 read paths keep their inputs), and
+// CRC-valid blocks whose payload was damaged after the fact.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
 #include "faults/fault_plan.h"
 #include "store/archive_format.h"
 #include "store/archive_reader.h"
@@ -81,29 +81,45 @@ inline void rewrite_as_v1(const std::string& dir,
   }
 }
 
-/// Overwrites the v2 encoding tag of block `ordinal` of a segment file with
-/// a value that is neither raw nor delta and re-seals the frame CRC: the
-/// block stays CRC-valid but cannot decode.
-inline void poison_encoding_tag(const std::string& path, std::uint32_t port,
-                                std::size_t ordinal) {
+/// Rewrites block `ordinal` of a segment file: `edit` may change the
+/// block's partition and its payload (the v2 encoding tag and the length
+/// included), then the frame is rebuilt with a fresh length field and CRC
+/// and the bytes after it shift. The block stays CRC-valid, however
+/// undecodable `edit` made it.
+inline void reseal_block(
+    const std::string& path, std::uint32_t port, std::size_t ordinal,
+    const std::function<void(std::uint32_t& partition,
+                             std::vector<std::uint8_t>& payload)>& edit) {
   std::vector<std::uint8_t> bytes = read_bytes(path);
   const store::SegmentScan scan = store::scan_segment_bytes(bytes, port);
   if (!scan.header_ok || scan.entries.size() <= ordinal) {
-    throw std::runtime_error("no block to poison in " + path);
+    throw std::runtime_error("no block to rewrite in " + path);
   }
   const store::IndexEntry& victim = scan.entries[ordinal];
   // Frame: magic u32 | kind u8 | partition u32 | t_lo u64 | t_hi u64 |
-  // payload_len u32 | payload | crc32 (over magic..payload). The payload's
-  // first byte is the v2 encoding tag.
-  bytes[victim.offset + (store::kBlockOverheadBytes - 4)] = 0x77;
-  const std::size_t crc_at = victim.offset + victim.length - 4;
-  const std::uint32_t crc =
-      crc32(bytes.data() + victim.offset, victim.length - 4);
-  bytes[crc_at + 0] = static_cast<std::uint8_t>(crc >> 24);
-  bytes[crc_at + 1] = static_cast<std::uint8_t>(crc >> 16);
-  bytes[crc_at + 2] = static_cast<std::uint8_t>(crc >> 8);
-  bytes[crc_at + 3] = static_cast<std::uint8_t>(crc);
+  // payload_len u32 | payload | crc32 (over magic..payload).
+  const auto frame_at = bytes.begin() + static_cast<std::ptrdiff_t>(victim.offset);
+  const auto frame_end = frame_at + victim.length;
+  std::vector<std::uint8_t> payload(frame_at + (store::kBlockOverheadBytes - 4),
+                                    frame_end - 4);
+  std::uint32_t partition = victim.partition;
+  edit(partition, payload);
+  const auto frame = store::encode_block(victim.kind, partition, victim.t_lo,
+                                         victim.t_hi, payload);
+  const auto at = bytes.erase(frame_at, frame_end);
+  bytes.insert(at, frame.begin(), frame.end());
   write_bytes(path, bytes);
+}
+
+/// Overwrites the v2 encoding tag of block `ordinal` of a segment file with
+/// a value that is neither raw nor delta: the block stays CRC-valid but
+/// cannot decode.
+inline void poison_encoding_tag(const std::string& path, std::uint32_t port,
+                                std::size_t ordinal) {
+  reseal_block(path, port, ordinal,
+               [](std::uint32_t&, std::vector<std::uint8_t>& payload) {
+                 payload.at(0) = 0x77;
+               });
 }
 
 }  // namespace pq::harness

@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "store/archive.h"
 #include "store/archive_reader.h"
+#include "store/block_codec_v2.h"
 #include "store/compactor.h"
 #include "archive_test_util.h"
 #include "../integration/sharded_harness.h"
@@ -35,12 +37,25 @@ core::TimeWindowParams test_params() {
 Timestamp time_of(std::uint32_t i) { return 100'000 * (i + 1); }
 
 /// Appends window snapshots `first` .. `first + n - 1` to port 0, each
-/// followed by a calibration, and closes the writer.
+/// followed by a calibration (and, with `monitors`, preceded by a monitor
+/// snapshot), and closes the writer.
 store::WriterStats append_snapshots(const store::ArchiveOptions& opts,
-                                    std::uint32_t first, std::uint32_t n) {
+                                    std::uint32_t first, std::uint32_t n,
+                                    bool monitors = false) {
   const auto p = test_params();
   store::ArchiveWriter w(0, p, 8, opts);
   for (std::uint32_t i = first; i < first + n; ++i) {
+    if (monitors) {
+      control::MonitorSnapshot mon;
+      mon.taken_at = time_of(i);
+      mon.epoch = i;
+      mon.state.top = i % 4;
+      mon.state.entries.resize(4);
+      mon.state.entries[i % 4].inc.valid = true;
+      mon.state.entries[i % 4].inc.flow = make_flow(i);
+      mon.state.entries[i % 4].inc.seq = i + 1;
+      w.on_monitor_snapshot(0, mon);
+    }
     control::WindowSnapshot snap;
     snap.taken_at = time_of(i);
     snap.epoch = i;
@@ -206,6 +221,89 @@ TEST(SegmentChain, ResumeEndsTheChainAtAnUndecodableBlock) {
   EXPECT_EQ(window_times(r),
             (std::vector<Timestamp>{time_of(0), time_of(100), time_of(101),
                                     time_of(102), time_of(103)}));
+}
+
+TEST(SegmentChain, ResumeEndsTheChainAtAnUnparseableRawRecord) {
+  // A CRC-valid raw payload (a v2 keyframe, or any v1 payload) that does
+  // not parse as exactly one record of its kind ends the chain right before
+  // it, typed kMalformedRecord, for recovery as for resume. Offsets into a
+  // snapshot record: taken_at u64, epoch u64, then the window count (or the
+  // monitor top and entry count), then the first row's flag byte at 24.
+  using Edit = std::function<void(std::vector<std::uint8_t>&)>;
+  struct Case {
+    const char* name;
+    store::BlockKind kind;
+    Edit edit;
+  };
+  const std::vector<Case> cases = {
+      {"window count past the payload", store::BlockKind::kWindowSnapshot,
+       [](auto& rec) { rec.at(17) = rec.at(18) = rec.at(19) = 0xFF; }},
+      {"window cell occupied byte 2", store::BlockKind::kWindowSnapshot,
+       [](auto& rec) { rec.at(24) = 2; }},
+      {"window with a trailing byte", store::BlockKind::kWindowSnapshot,
+       [](auto& rec) { rec.push_back(0); }},
+      {"monitor entry flag bits above 3", store::BlockKind::kMonitorSnapshot,
+       [](auto& rec) { rec.at(24) = 4; }},
+      {"calibration one byte short", store::BlockKind::kCalibration,
+       [](auto& rec) { rec.pop_back(); }},
+  };
+  for (const std::uint16_t format :
+       {store::kFormatVersionV1, store::kFormatVersionV2}) {
+    for (const auto& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " in v" + std::to_string(format));
+      const TempDir dir;
+      store::ArchiveOptions opts;
+      opts.dir = dir.path();
+      opts.segment_bytes = 2 * 1024;
+      append_snapshots(opts, 0, 12, /*monitors=*/true);
+      if (format == store::kFormatVersionV1) harness::rewrite_as_v1(dir.path());
+      const store::ArchiveReader clean(dir.path());
+      ASSERT_GE(clean.recovered().at(0).segments.size(), 3u);
+
+      // The victim: the first block of its kind in segment 1, a keyframe.
+      const std::string seg1 = store::segment_path(dir.path(), 0, 1);
+      const auto scan =
+          store::scan_segment_bytes(harness::read_bytes(seg1), 0);
+      std::size_t ordinal = 0;
+      while (scan.entries.at(ordinal).kind != c.kind) ++ordinal;
+      const std::size_t tag_bytes = format == store::kFormatVersionV2 ? 1 : 0;
+      harness::reseal_block(
+          seg1, 0, ordinal,
+          [&](std::uint32_t&, std::vector<std::uint8_t>& payload) {
+            if (tag_bytes > 0) {
+              ASSERT_EQ(payload.at(0), store::kEncodingRaw);
+            }
+            std::vector<std::uint8_t> rec(payload.begin() + tag_bytes,
+                                          payload.end());
+            c.edit(rec);
+            payload.resize(tag_bytes);
+            payload.insert(payload.end(), rec.begin(), rec.end());
+          });
+
+      const std::size_t kept =
+          clean.recovered().at(0).segments[0].blocks + ordinal;
+      const store::ArchiveReader damaged(dir.path());
+      const auto& rec = damaged.recovered().at(0);
+      EXPECT_EQ(rec.decode_error.status,
+                store::BlockDecodeStatus::kMalformedRecord);
+      EXPECT_EQ(rec.decode_error.segment_index, 1u);
+      EXPECT_EQ(rec.decode_error.block_ordinal, kept);
+      EXPECT_EQ(damaged.stats().decode_errors, 1u);
+      ASSERT_EQ(rec.blocks.size(), kept);
+      for (std::size_t i = 0; i < kept; ++i) {
+        EXPECT_TRUE(rec.blocks[i].payload ==
+                    clean.recovered().at(0).blocks[i].payload);
+      }
+
+      // Resume repairs the archive to exactly that prefix.
+      opts.resume = true;
+      EXPECT_EQ(append_snapshots(opts, 0, 0).tail_repairs, 1u);
+      const store::ArchiveReader repaired(dir.path());
+      EXPECT_EQ(repaired.stats().recoveries, 0u);
+      EXPECT_EQ(repaired.stats().decode_errors, 0u);
+      EXPECT_EQ(repaired.logical_content(), damaged.logical_content());
+    }
+  }
 }
 
 }  // namespace

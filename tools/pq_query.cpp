@@ -37,6 +37,10 @@
 // summary goes to stderr and the exit code is 3. The answers themselves
 // are unchanged — strict mode is for scripts that must distinguish "clean
 // archive" from "recovered archive".
+//
+// Recovery parses every snapshot and calibration it keeps, but a DQ
+// capture's payload only when a mode reads it (`info` counts them): one
+// that does not parse is reported on stderr with exit code 1.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,7 +52,7 @@
 #include "control/answer_printer.h"
 #include "store/archive_reader.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pq;
   if (argc < 3) {
     std::fprintf(stderr,
@@ -203,4 +207,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   return finish();
+} catch (const pq::control::RecordsError& e) {
+  std::fprintf(stderr, "cannot decode a recovered record: %s\n", e.what());
+  return 1;
 }
