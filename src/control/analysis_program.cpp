@@ -18,6 +18,7 @@ AnalysisProgram::AnalysisProgram(core::PrintQueuePipeline& pipeline,
   next_poll_ = poll_period_;
   window_snaps_.resize(pipe_.windows().port_partitions());
   monitor_snaps_.resize(pipe_.monitor().port_partitions());
+  z0_.assign(pipe_.windows().port_partitions(), 1.0);
   dq_captures_.resize(pipe_.windows().port_partitions());
   pipe_.set_observer(this);
 }
@@ -74,19 +75,25 @@ void AnalysisProgram::poll(Timestamp now) {
   for (std::uint32_t port = 0; port < window_snaps_.size(); ++port) {
     WindowSnapshot snap;
     snap.taken_at = now;
-    if (read_verified(pipe_.windows(), wbank, port,
+    const bool verified =
+        read_verified(pipe_.windows(), wbank, port,
                       [this](std::uint32_t p, core::WindowState& st) {
                         return read_faults_->on_window_read(p, st);
                       },
-                      snap)) {
-      window_snaps_[port].push_back(std::move(snap));
-      if (sink_ != nullptr) {
-        sink_->on_window_snapshot(port, window_snaps_[port].back());
-      }
-    } else {
+                      snap);
+    {
+      // The checkpoint and this poll's z0 publish in one hold, so a query
+      // never pairs a snapshot with another poll's calibration.
+      const std::lock_guard<std::mutex> lk(history_mu_);
+      if (verified) window_snaps_[port].push_back(std::move(snap));
+      z0_[port] = measured_z0(port);
+    }
+    if (!verified) {
       // Degrade, don't fabricate: a copy that stayed torn through every
       // retry is dropped — queries into this span return less, not junk.
       ++health_.snapshots_abandoned;
+    } else if (sink_ != nullptr) {
+      sink_->on_window_snapshot(port, window_snaps_[port].back());
     }
     bytes_polled_ += (1ull << wp.k) * wp.num_windows *
                      core::TimeWindowSet::kCellBytesOnSwitch;
@@ -101,7 +108,10 @@ void AnalysisProgram::poll(Timestamp now) {
                         return read_faults_->on_monitor_read(p, st);
                       },
                       snap)) {
-      monitor_snaps_[part].push_back(std::move(snap));
+      {
+        const std::lock_guard<std::mutex> lk(history_mu_);
+        monitor_snaps_[part].push_back(std::move(snap));
+      }
       if (sink_ != nullptr) {
         sink_->on_monitor_snapshot(part, monitor_snaps_[part].back());
       }
@@ -148,14 +158,29 @@ void AnalysisProgram::finalize(Timestamp end_time) {
   poll(std::max(end_time, next_poll_ - poll_period_ + 1));
 }
 
+double AnalysisProgram::measured_z0(std::uint32_t port_prefix) const {
+  const double gap = pipe_.avg_deq_gap_ns(port_prefix);
+  return gap > 0.0
+             ? core::z0_from_interarrival(pipe_.windows().params().m0, gap)
+             : 1.0;
+}
+
+void AnalysisProgram::set_z0_override(double z0) {
+  const std::lock_guard<std::mutex> lk(history_mu_);
+  cfg_.z0_override = z0;
+}
+
 core::CoefficientTable AnalysisProgram::coefficients(
     std::uint32_t port_prefix) const {
+  const std::lock_guard<std::mutex> lk(history_mu_);
+  return coefficients_locked(port_prefix);
+}
+
+core::CoefficientTable AnalysisProgram::coefficients_locked(
+    std::uint32_t port_prefix) const {
   const auto& p = pipe_.windows().params();
-  double z0 = cfg_.z0_override;
-  if (z0 <= 0.0) {
-    const double gap = pipe_.avg_deq_gap_ns(port_prefix);
-    z0 = gap > 0.0 ? core::z0_from_interarrival(p.m0, gap) : 1.0;
-  }
+  const double z0 =
+      cfg_.z0_override > 0.0 ? cfg_.z0_override : z0_.at(port_prefix);
   return core::CoefficientTable::compute(z0, p.alpha, p.num_windows);
 }
 
@@ -166,8 +191,11 @@ core::FlowCounts AnalysisProgram::query_time_windows(
 
 IntervalAnswer AnalysisProgram::query_time_windows_detail(
     std::uint32_t port_prefix, Timestamp t1, Timestamp t2) const {
+  // One hold for the z0 and the walk: both come from the same poll.
+  const std::lock_guard<std::mutex> lk(history_mu_);
   return walk_checkpoints(window_snaps_.at(port_prefix),
-                          pipe_.windows().layout(), coefficients(port_prefix),
+                          pipe_.windows().layout(),
+                          coefficients_locked(port_prefix),
                           cfg_.salvage_stale_cells, t1, t2);
 }
 
@@ -231,6 +259,7 @@ std::vector<core::OriginalCulprit> AnalysisProgram::query_queue_monitor(
 MonitorAnswer AnalysisProgram::query_queue_monitor_detail(
     std::uint32_t port_prefix, Timestamp t) const {
   MonitorAnswer answer;
+  const std::lock_guard<std::mutex> lk(history_mu_);
   const MonitorSnapshot* best =
       nearest_snapshot(monitor_snaps_.at(port_prefix), t);
   if (best == nullptr) return answer;

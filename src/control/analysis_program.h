@@ -15,10 +15,19 @@
 // are counted in HealthStats. The degradation contract is partial-but-true:
 // an abandoned snapshot loses history, it never leaks half-written cells
 // into answers.
+//
+// Threading: one thread drives the program (packets, finalize). The
+// checkpoint history it publishes — window and monitor snapshots and the
+// z0 measured at each poll — sits behind a short-held history mutex: the
+// driving thread holds it only to push one verified snapshot, and each
+// asynchronous query holds it for one checkpoint walk. Queries may
+// therefore run on other threads while packets are absorbed, and read
+// only published checkpoints, as the CPU reads a frozen ping-pong bank.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -41,8 +50,8 @@ struct AnalysisConfig {
   Duration poll_period_ns = 0;
 
   /// Window 0 fill probability for coefficient recovery. 0 means derive it
-  /// at query time from the pipeline's measured average dequeue gap
-  /// (Theorem 3's d).
+  /// at each poll from the pipeline's measured average dequeue gap
+  /// (Theorem 3's d); queries use the value of the newest poll.
   double z0_override = 0.0;
 
   /// How long a data-plane query keeps the special registers locked (models
@@ -132,6 +141,8 @@ class AnalysisProgram final : public core::PipelineObserver {
   void set_sink(TelemetrySink* sink) { sink_ = sink; }
 
   // --- Asynchronous queries (Section 6.3) ---
+  // Safe from any thread while the program is driven: each one reads the
+  // published history and its z0 under one hold of the history mutex.
 
   using IntervalAnswer = control::IntervalAnswer;
   using MonitorAnswer = control::MonitorAnswer;
@@ -166,6 +177,9 @@ class AnalysisProgram final : public core::PipelineObserver {
       const DqCapture& capture) const;
 
   // --- Introspection (benches, tests) ---
+  /// The published checkpoints, unguarded: for the driving thread, or for
+  /// any thread once the run is over (a concurrent poll may reallocate
+  /// them).
   const std::vector<WindowSnapshot>& window_snapshots(
       std::uint32_t port_prefix) const;
   const std::vector<MonitorSnapshot>& monitor_snapshots(
@@ -176,14 +190,17 @@ class AnalysisProgram final : public core::PipelineObserver {
   /// Read-path health counters (torn reads, retries, abandoned snapshots).
   const HealthStats& health() const { return health_; }
 
-  /// The coefficient table a query on this port would use right now.
+  /// The coefficient table a query on this port uses: z0 from the override
+  /// when set, else the z0 measured at the newest poll (1.0 before the
+  /// first) — the calibration an archive answer as of that poll uses.
   core::CoefficientTable coefficients(std::uint32_t port_prefix) const;
 
   /// Overrides window 0's fill probability for coefficient recovery (0
-  /// restores the measured-gap default). Useful when the query span mixes
-  /// congested and idle periods, where the long-run average packet rate is
-  /// the better Theorem 3 `d` than the busy-period service time.
-  void set_z0_override(double z0) { cfg_.z0_override = z0; }
+  /// restores the measured-gap default). Applies to queries from now on.
+  /// Useful when the query span mixes congested and idle periods, where
+  /// the long-run average packet rate is the better Theorem 3 `d` than the
+  /// busy-period service time.
+  void set_z0_override(double z0);
 
   /// Total register bytes copied by periodic polling so far (I/O model).
   std::uint64_t bytes_polled() const { return bytes_polled_; }
@@ -194,6 +211,10 @@ class AnalysisProgram final : public core::PipelineObserver {
 
  private:
   void poll(Timestamp now);
+  /// z0 from the partition's measured dequeue gap, or 1.0 before one is
+  /// measured. Read at each poll only.
+  double measured_z0(std::uint32_t port_prefix) const;
+  core::CoefficientTable coefficients_locked(std::uint32_t port_prefix) const;
   template <typename Banks, typename Snapshot, typename FaultHook>
   bool read_verified(const Banks& banks, std::uint32_t bank,
                      std::uint32_t part, FaultHook fault, Snapshot& out);
@@ -211,8 +232,12 @@ class AnalysisProgram final : public core::PipelineObserver {
   HealthStats health_;
   obs::Histogram poll_ns_;
 
+  /// Guards the checkpoint history below and cfg_.z0_override. Only the
+  /// driving thread writes the history, so it reads it without the lock.
+  mutable std::mutex history_mu_;
   std::vector<std::vector<WindowSnapshot>> window_snaps_;   // [port]
   std::vector<std::vector<MonitorSnapshot>> monitor_snaps_; // [port]
+  std::vector<double> z0_;  ///< [port] measured at the newest poll
   std::vector<std::vector<DqCapture>> dq_captures_;         // [port]
 };
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/hash.h"
-#include "ground/ground_truth.h"
 
 namespace pq::net {
 
@@ -39,57 +38,52 @@ AttributionReport NetworkAnalysis::attribute(const FlowId& victim,
   AttributionReport r;
   r.victim = victim;
 
-  // Aggregate the victim's queuing delay per (switch, port); ordered map
-  // keeps the report and the argmax tie-break deterministic.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, HopDelay> agg;
+  // Aggregate the victim's queuing delay per (switch, port), keeping each
+  // hop's worst victim packet (ties: earliest enqueue) in the same scan;
+  // the ordered map keeps the report and the argmax tie-break
+  // deterministic.
+  struct HopScan {
+    HopDelay delay;
+    const IntHop* worst = nullptr;
+  };
+  std::map<std::pair<std::uint32_t, std::uint32_t>, HopScan> agg;
   for (const IntHeader& hdr : net_.headers()) {
     if (hdr.flow != victim) continue;
     ++r.victim_packets;
     r.int_overflow = r.int_overflow || hdr.overflow;
     for (const IntHop& hop : hdr.hops) {
-      HopDelay& h = agg[{hop.switch_id, hop.egress_port}];
+      HopScan& s = agg[{hop.switch_id, hop.egress_port}];
+      HopDelay& h = s.delay;
       h.switch_id = hop.switch_id;
       h.egress_port = hop.egress_port;
       ++h.packets;
       h.total_queue_delay_ns += hop.queue_delay();
       h.max_queue_delay_ns = std::max(h.max_queue_delay_ns, hop.queue_delay());
+      if (s.worst == nullptr || hop.queue_delay() > s.worst->queue_delay() ||
+          (hop.queue_delay() == s.worst->queue_delay() &&
+           hop.enq_timestamp < s.worst->enq_timestamp)) {
+        s.worst = &hop;
+      }
     }
   }
   if (agg.empty()) {
     throw std::runtime_error(
         "network analysis: victim flow has no recorded hops");
   }
-  const HopDelay* worst = nullptr;
+  const HopScan* worst = nullptr;
   r.hops.reserve(agg.size());
-  for (const auto& [key, h] : agg) {
-    r.hops.push_back(h);
-    if (worst == nullptr || h.total_queue_delay_ns > worst->total_queue_delay_ns) {
-      worst = &r.hops.back();
+  for (const auto& [key, s] : agg) {
+    r.hops.push_back(s.delay);
+    if (worst == nullptr ||
+        s.delay.total_queue_delay_ns > worst->delay.total_queue_delay_ns) {
+      worst = &s;
     }
   }
-  r.culprit_switch = worst->switch_id;
-  r.culprit_port = worst->egress_port;
-
-  // The worst victim packet's queuing interval at the attributed hop
-  // (ties: earliest enqueue).
-  const IntHop* worst_hop = nullptr;
-  for (const IntHeader& hdr : net_.headers()) {
-    if (hdr.flow != victim) continue;
-    for (const IntHop& hop : hdr.hops) {
-      if (hop.switch_id != r.culprit_switch ||
-          hop.egress_port != r.culprit_port) {
-        continue;
-      }
-      if (worst_hop == nullptr ||
-          hop.queue_delay() > worst_hop->queue_delay() ||
-          (hop.queue_delay() == worst_hop->queue_delay() &&
-           hop.enq_timestamp < worst_hop->enq_timestamp)) {
-        worst_hop = &hop;
-      }
-    }
-  }
-  r.interval_lo = worst_hop->enq_timestamp;
-  r.interval_hi = worst_hop->deq_timestamp;
+  // The attributed hop and its worst victim packet's queuing interval.
+  r.culprit_switch = worst->delay.switch_id;
+  r.culprit_port = worst->delay.egress_port;
+  r.interval_lo = worst->worst->enq_timestamp;
+  r.interval_hi = worst->worst->deq_timestamp;
 
   // Interrogate the attributed switch with the standard per-switch queries.
   const control::ShardedAnalysis& analysis =
@@ -108,12 +102,16 @@ AttributionReport NetworkAnalysis::attribute(const FlowId& victim,
   r.original_culprits =
       analysis.query_queue_monitor(r.culprit_port, r.interval_lo);
 
-  // Score the raw interval answer against record-derived truth at the hop.
-  ground::GroundTruth truth(
-      net_.node(r.culprit_switch).engine().port(r.culprit_port).records());
-  r.direct_accuracy = ground::top_k_accuracy(
-      detail.counts, truth.direct_culprits(r.interval_lo, r.interval_hi),
-      top_k);
+  // Score the raw interval answer against record-derived truth at the hop:
+  // the flows of the packets that dequeued there in [interval_lo,
+  // interval_hi), counted in one pass over the port's records.
+  core::FlowCounts truth;
+  for (const wire::TelemetryRecord& rec :
+       net_.node(r.culprit_switch).engine().port(r.culprit_port).records()) {
+    const Timestamp deq = rec.deq_timestamp();
+    if (deq >= r.interval_lo && deq < r.interval_hi) truth[rec.flow] += 1.0;
+  }
+  r.direct_accuracy = ground::top_k_accuracy(detail.counts, truth, top_k);
   return r;
 }
 

@@ -6,8 +6,8 @@ namespace pq::serve {
 
 QueryRouter::QueryRouter(core::ShardedPipeline& pipeline,
                          control::ShardedAnalysis& analysis,
-                         ShardSupervisor* supervisor)
-    : pipeline_(pipeline), analysis_(analysis), supervisor_(supervisor) {
+                         ShardSupervisor* /*supervisor*/)
+    : pipeline_(pipeline), analysis_(analysis) {
   services_.reserve(pipeline_.num_shards());
   for (std::uint32_t s = 0; s < pipeline_.num_shards(); ++s) {
     services_.push_back(
@@ -110,14 +110,12 @@ std::vector<std::uint8_t> QueryRouter::handle(
     return control::encode_response(resp);
   }
 
-  // Live path: rewrite to the shard-local port (always 0 inside a shard)
-  // and execute under the shard lock so the read cannot interleave with an
-  // absorb on the worker thread.
+  // Live path: rewrite to the shard-local port (always 0 inside a shard).
+  // The program answers from its published checkpoints under its own
+  // history lock, so the query never waits for the worker's batch.
   control::QueryRequest local = req;
   local.port_prefix = 0;
   const auto bytes = control::encode_request(local);
-  std::unique_lock<std::mutex> lk;
-  if (supervisor_ != nullptr) lk = supervisor_->lock_shard(*prefix);
   ++stats_.served_live;
   return services_[*prefix]->handle(bytes);
 }

@@ -6,11 +6,13 @@
 // span lies entirely at or before the recovered horizon of its port (the
 // newest checkpoint that survived the crash) is answered offline from the
 // recovered RegisterRecords — byte-identical to pq_query against the same
-// archive. Anything later goes to the live shard, under the supervisor's
-// shard lock so the answer never reads mid-absorb state. Both paths speak
-// the same wire protocol as control::QueryService, including the malformed
-// and unknown-type rejections, so existing clients (pq_ctl, QueryClient)
-// work unchanged.
+// archive. Anything later goes to the live shard's analysis program, which
+// answers from the checkpoints it has published under its own short-held
+// history lock (never the shard's absorb lock), with the calibration of its
+// newest checkpoint: a live answer at checkpoint horizon h equals the
+// archive's answer as of h. Both paths speak the same wire protocol as
+// control::QueryService, including the malformed and unknown-type
+// rejections, so existing clients (pq_ctl, QueryClient) work unchanged.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +38,8 @@ struct RouterStats {
 
 class QueryRouter {
  public:
-  /// One QueryService per shard is created lazily inside; `supervisor` may
-  /// be null when the daemon runs without ingest (query-only restarts).
+  /// One QueryService per shard is created inside. `supervisor` is unused
+  /// (live queries take no shard lock) and may be null.
   QueryRouter(core::ShardedPipeline& pipeline,
               control::ShardedAnalysis& analysis,
               ShardSupervisor* supervisor);
@@ -70,7 +72,6 @@ class QueryRouter {
 
   core::ShardedPipeline& pipeline_;
   control::ShardedAnalysis& analysis_;
-  ShardSupervisor* supervisor_;
   std::vector<std::unique_ptr<control::QueryService>> services_;  // [shard]
   std::map<std::uint32_t, Recovered> recovered_;  // [egress port]
   RouterStats stats_;

@@ -7,8 +7,11 @@
 // split-invariant (ARCHITECTURE §10), the variable-size chunks the daemon
 // happens to pop produce the same register state and archive bytes as any
 // offline replay of the same per-port record stream. Shard state is guarded
-// by a per-shard mutex so the query router and metrics collector can read
-// mid-ingest.
+// by a per-shard mutex so the metrics collector, archive flushes and
+// compaction ticks can read mid-ingest. Live queries do not take it: they
+// read the shard program's published checkpoints under the program's own
+// history lock (control/analysis_program.h), so they never wait for a
+// batch.
 //
 // Robustness posture:
 //   - submit() routes by egress port; unknown ports are rejected with a
@@ -89,8 +92,9 @@ class ShardSupervisor {
   /// watchdog_stalls_total()).
   std::uint32_t check_watchdog();
 
-  /// Exclusive access to one shard's pipeline + program, for queries and
-  /// metrics reads that must not interleave with an absorb.
+  /// Exclusive access to one shard's pipeline, program and archive writer,
+  /// for metrics reads, flushes and compaction that must not interleave
+  /// with an absorb. Queries do not need it.
   std::unique_lock<std::mutex> lock_shard(std::uint32_t prefix) {
     return std::unique_lock<std::mutex>(shards_[prefix]->mu);
   }

@@ -193,10 +193,21 @@ TEST(AnalysisProgram, QueueMonitorQueryPicksNearestSnapshot) {
   EXPECT_EQ(late.back().flow, make_flow(2));
 }
 
+/// Keeps the newest calibration the program emitted.
+struct CalibrationProbe final : TelemetrySink {
+  void on_window_snapshot(std::uint32_t, const WindowSnapshot&) override {}
+  void on_monitor_snapshot(std::uint32_t, const MonitorSnapshot&) override {}
+  void on_dq_capture(std::uint32_t, const DqCapture&) override {}
+  void on_calibration(const CalibrationRecord& cal) override { last = cal; }
+  CalibrationRecord last;
+};
+
 TEST(AnalysisProgram, CoefficientsUseMeasuredGapWhenNoOverride) {
   core::PrintQueuePipeline pipe(small_config());
   pipe.enable_port(0);
   AnalysisProgram ap(pipe, {});
+  CalibrationProbe probe;
+  ap.set_sink(&probe);
   // 32 ns dequeue gaps with m0 = 4 -> z0 = 16/32 = 0.5. Gaps only count
   // while the queue is non-empty (Theorem 3 applies during congestion).
   Timestamp t = 0;
@@ -207,6 +218,32 @@ TEST(AnalysisProgram, CoefficientsUseMeasuredGapWhenNoOverride) {
   const auto coeffs = ap.coefficients(0);
   const auto expected = core::CoefficientTable::compute(0.5, 1, 3);
   EXPECT_NEAR(coeffs.coefficient(1), expected.coefficient(1), 0.05);
+
+  // Queries use the z0 measured at the newest poll — the calibration an
+  // archive answer as of that checkpoint uses — not the gap measured since.
+  const std::uint64_t polls = ap.polls_performed();
+  ASSERT_GT(polls, 0u);
+  const double at_poll = probe.last.z0;
+  EXPECT_EQ(ap.coefficients(0).z(0), at_poll);
+  const Timestamp next_poll = ap.next_time_event();
+  for (t += 128; t < next_poll; t += 128) {
+    pipe.on_egress(ctx(1, t, 0, /*qdepth=*/3));
+  }
+  ASSERT_EQ(ap.polls_performed(), polls);
+  EXPECT_EQ(ap.coefficients(0).z(0), at_poll);
+
+  // The next poll takes the wider gap: z0 falls.
+  pipe.on_egress(ctx(1, t, 0, /*qdepth=*/3));
+  ASSERT_EQ(ap.polls_performed(), polls + 1);
+  EXPECT_LT(probe.last.z0, at_poll);
+  EXPECT_EQ(ap.coefficients(0).z(0), probe.last.z0);
+
+  // An override wins at query time, between polls too; 0 restores the
+  // newest poll's z0.
+  ap.set_z0_override(0.25);
+  EXPECT_EQ(ap.coefficients(0).z(0), 0.25);
+  ap.set_z0_override(0.0);
+  EXPECT_EQ(ap.coefficients(0).z(0), probe.last.z0);
 }
 
 TEST(AnalysisProgram, BytesPolledGrowsWithPolls) {

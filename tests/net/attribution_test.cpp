@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 
+#include "ground/ground_truth.h"
 #include "net/network_engine.h"
 #include "net/topology.h"
 #include "traffic/net_scenarios.h"
@@ -107,6 +108,21 @@ TEST(Attribution, ThreeHopIncastNamesTheCongestedHopAndCulprits) {
   // were set; the precision floor is above the 0.8 acceptance bar.
   EXPECT_GE(r.direct_accuracy.precision, 0.8381);
   EXPECT_GE(r.direct_accuracy.recall, 0.83215);
+
+  // The one-pass score is exactly the ground-truth oracle's: top-k
+  // accuracy of the hop's interval answer against GroundTruth's direct
+  // culprits over the same interval.
+  const auto answer =
+      engine.node(r.culprit_switch)
+          .analysis()
+          .query_time_windows_detail(r.culprit_port, r.interval_lo,
+                                     r.interval_hi);
+  const ground::GroundTruth truth(
+      engine.node(r.culprit_switch).engine().port(r.culprit_port).records());
+  const ground::PrecisionRecall oracle = ground::top_k_accuracy(
+      answer.counts, truth.direct_culprits(r.interval_lo, r.interval_hi), 8);
+  EXPECT_EQ(r.direct_accuracy.precision, oracle.precision);
+  EXPECT_EQ(r.direct_accuracy.recall, oracle.recall);
 
   // Report renders to JSON with the gated fields present.
   const std::string json = net::to_json(r, engine.stats());
