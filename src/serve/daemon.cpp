@@ -123,7 +123,6 @@ int Daemon::run(const std::atomic<bool>& stop) {
   auto last_watchdog = clock::now();
   auto last_metrics = last_watchdog;
   auto last_flush = last_watchdog;
-  auto last_compact = last_watchdog;
   std::vector<std::uint8_t> raw;
 
   while (!stop.load(std::memory_order_relaxed)) {
@@ -153,12 +152,6 @@ int Daemon::run(const std::atomic<bool>& stop) {
         now - last_flush >= std::chrono::milliseconds(cfg_.flush_every_ms)) {
       flush_archive();
       last_flush = now;
-    }
-    if (archive_ && cfg_.compact_every_ms > 0 &&
-        now - last_compact >=
-            std::chrono::milliseconds(cfg_.compact_every_ms)) {
-      compact_archive_tick();
-      last_compact = now;
     }
   }
 
@@ -191,29 +184,6 @@ void Daemon::flush_archive() {
   archive_->flush_all();
 }
 
-void Daemon::compact_archive_tick() {
-  // Same locking discipline as flush_archive: every shard lock is held, so
-  // no writer appends (or rolls a segment) while cold files are rewritten.
-  // keep_newest >= 1 additionally protects each port's open segment file.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(pipeline_.num_shards());
-  for (std::uint32_t s = 0; s < pipeline_.num_shards(); ++s) {
-    locks.push_back(supervisor_->lock_shard(s));
-  }
-  store::CompactionPolicy policy;
-  policy.keep_newest_segments = std::max(1u, cfg_.compact_keep_newest);
-  const store::CompactionStats s =
-      store::compact_archive(cfg_.archive_dir, policy);
-  compact_stats_.segments_examined += s.segments_examined;
-  compact_stats_.segments_rewritten += s.segments_rewritten;
-  compact_stats_.segments_skipped += s.segments_skipped;
-  compact_stats_.segments_skipped_damaged += s.segments_skipped_damaged;
-  compact_stats_.calibrations_dropped += s.calibrations_dropped;
-  compact_stats_.bytes_before += s.bytes_before;
-  compact_stats_.bytes_after += s.bytes_after;
-  compact_stats_.torn_compactions += s.torn_compactions;
-}
-
 void Daemon::write_metrics_file() {
   const std::string body = collect_metrics().to_prometheus();
   std::FILE* f = std::fopen(cfg_.metrics_out.c_str(), "w");
@@ -233,9 +203,6 @@ obs::MetricsRegistry Daemon::collect_metrics() {
   obs::MetricsRegistry reg =
       control::collect_replay_metrics(pipeline_, *analysis_);
   if (archive_) store::export_writer_metrics(reg, archive_->stats());
-  if (archive_ && cfg_.compact_every_ms > 0) {
-    store::export_compaction_metrics(reg, compact_stats_);
-  }
   if (shard_faults_) {
     for (const std::uint32_t port : cfg_.ports) {
       if (const faults::FaultPlan* plan = shard_faults_->plan_if(port)) {

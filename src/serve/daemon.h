@@ -39,7 +39,6 @@
 #include "serve/supervisor.h"
 #include "store/archive.h"
 #include "store/archive_reader.h"
-#include "store/compactor.h"
 
 namespace pq::serve {
 
@@ -60,12 +59,6 @@ struct DaemonConfig {
   /// Startup recovery scan workers (whole-port jobs; byte-identical to the
   /// sequential scan). 0 = one per hardware thread, capped by port count.
   unsigned recovery_threads = 0;
-  /// Compact cold segments in place this often (0 = never). Runs on the
-  /// pump thread under every shard lock, so it never races an append.
-  std::uint32_t compact_every_ms = 0;
-  /// Newest per-port segments compaction must not touch (>= 1 protects the
-  /// writer's open segment; values below that are clamped up).
-  std::uint32_t compact_keep_newest = 1;
 
   std::string query_socket;    ///< empty = no query endpoint
   std::string metrics_socket;  ///< empty = no scrape endpoint
@@ -113,7 +106,6 @@ class Daemon {
   void ingest_and_submit(std::span<const std::uint8_t> bytes);
   void write_metrics_file();
   void flush_archive();
-  void compact_archive_tick();
 
   DaemonConfig cfg_;
   RecoverySummary recovery_;
@@ -133,9 +125,6 @@ class Daemon {
   StreamDecoder decoder_;
   std::vector<wire::TelemetryRecord> scratch_;
   std::uint64_t start_ns_ = 0;
-  /// Cumulative across all compaction ticks; read by collect_metrics under
-  /// the same shard locks compaction runs under.
-  store::CompactionStats compact_stats_;
 };
 
 }  // namespace pq::serve

@@ -7,8 +7,8 @@
 // split-invariant (ARCHITECTURE §10), the variable-size chunks the daemon
 // happens to pop produce the same register state and archive bytes as any
 // offline replay of the same per-port record stream. Shard state is guarded
-// by a per-shard mutex so the metrics collector, archive flushes and
-// compaction ticks can read mid-ingest. Live queries do not take it: they
+// by a per-shard mutex so the metrics collector and archive flushes can
+// reach it mid-ingest. Live queries do not take it: they
 // read the shard program's published checkpoints under the program's own
 // history lock (control/analysis_program.h), so they never wait for a
 // batch.
@@ -93,8 +93,8 @@ class ShardSupervisor {
   std::uint32_t check_watchdog();
 
   /// Exclusive access to one shard's pipeline, program and archive writer,
-  /// for metrics reads, flushes and compaction that must not interleave
-  /// with an absorb. Queries do not need it.
+  /// for metrics reads and flushes that must not interleave with an
+  /// absorb. Queries do not need it.
   std::unique_lock<std::mutex> lock_shard(std::uint32_t prefix) {
     return std::unique_lock<std::mutex>(shards_[prefix]->mu);
   }

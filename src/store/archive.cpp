@@ -366,7 +366,9 @@ void ArchiveWriter::append(BlockKind kind, std::uint32_t partition,
 }
 
 void ArchiveWriter::flush() {
-  if (file_ != nullptr) std::fflush(file_);
+  if (file_ != nullptr && std::fflush(file_) != 0) {
+    fail_segment("cannot flush");
+  }
 }
 
 namespace {
@@ -374,50 +376,49 @@ namespace {
 /// Truncates the file a chain walk ended on to its valid prefix and appends
 /// the footer a clean close would have written, in the segment's own
 /// version. The sealed segment holds exactly the blocks ArchiveReader
-/// recovers from the damaged file, so the repair is content-neutral.
-bool seal_valid_prefix(const ChainSegment& seg, FsyncPolicy policy) {
+/// recovers from the damaged file, so the repair is content-neutral. Throws
+/// when the footer may not have reached the file, which still holds its
+/// valid prefix.
+void seal_valid_prefix(const ChainSegment& seg, FsyncPolicy policy) {
+  const std::string& path = seg.file->path;
   std::error_code ec;
-  std::filesystem::resize_file(seg.file->path, seg.valid_bytes, ec);
-  if (ec) return false;
-  std::FILE* f = std::fopen(seg.file->path.c_str(), "ab");
-  if (f == nullptr) return false;
+  std::filesystem::resize_file(path, seg.valid_bytes, ec);
+  std::FILE* f = ec ? nullptr : std::fopen(path.c_str(), "ab");
+  if (f == nullptr) throw std::runtime_error("pq::store: cannot seal " + path);
   const auto& entries = seg.scan.entries;
   const std::vector<IndexEntry> kept(
       entries.begin(),
       entries.begin() + static_cast<std::ptrdiff_t>(seg.blocks.size()));
   const auto footer = encode_footer(seg.valid_bytes - seg.scan.header_bytes,
                                     kept, seg.scan.header.version);
-  const bool ok =
-      std::fwrite(footer.data(), 1, footer.size(), f) == footer.size();
-  if (policy != FsyncPolicy::kNone) {
-    std::fflush(f);
-    ::fsync(::fileno(f));
+  bool ok = std::fwrite(footer.data(), 1, footer.size(), f) == footer.size();
+  if (ok && policy != FsyncPolicy::kNone) {
+    ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
   }
-  std::fclose(f);
-  return ok;
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) throw std::runtime_error("pq::store: cannot seal " + path);
 }
 
 }  // namespace
 
 void ArchiveWriter::resume_from_disk() {
-  const std::vector<SegmentFile> files = list_segment_files(opts_.dir, port_);
   std::error_code ec;
   const auto unreachable =
-      walk_segment_chain(port_, files, [&](ChainSegment& seg) {
+      walk_segment_chain(opts_.dir, port_, [&](ChainSegment& seg) {
         if (seg.clean()) {
           live_segments_.push_back(seg.file->index);
-          return true;
+          return;
         }
         // The chain ends here. A file with no surviving block is deleted
         // like the unreachable ones: sealing it adds nothing, and a sealed
         // empty first segment would show a port the reader did not report.
         ++stats_.tail_repairs;
-        if (!seg.blocks.empty() && seal_valid_prefix(seg, opts_.fsync)) {
-          live_segments_.push_back(seg.file->index);
-        } else {
+        if (seg.blocks.empty()) {
           std::filesystem::remove(seg.file->path, ec);
+          return;
         }
-        return true;
+        seal_valid_prefix(seg, opts_.fsync);
+        live_segments_.push_back(seg.file->index);
       });
   for (const auto& file : unreachable) std::filesystem::remove(file.path, ec);
   next_segment_index_ =
@@ -468,20 +469,31 @@ void ArchiveWriter::close_segment() {
   const auto footer =
       encode_footer(segment_block_bytes_, segment_index_, kFormatVersionV2);
   if (std::fwrite(footer.data(), 1, footer.size(), file_) != footer.size()) {
-    throw std::runtime_error("pq::store: segment footer write failed");
+    fail_segment("cannot seal");
   }
   if (opts_.fsync != FsyncPolicy::kNone) sync_file();
-  std::fclose(file_);
-  file_ = nullptr;
+  if (std::fclose(std::exchange(file_, nullptr)) != 0) {
+    fail_segment("cannot seal");
+  }
   segment_index_.clear();
   ++stats_.segments_closed;
   apply_retention();
 }
 
 void ArchiveWriter::sync_file() {
-  std::fflush(file_);
-  ::fsync(::fileno(file_));
+  if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
+    fail_segment("cannot sync");
+  }
   ++stats_.fsyncs;
+}
+
+void ArchiveWriter::fail_segment(const char* what) {
+  if (file_ != nullptr) std::fclose(file_);
+  file_ = nullptr;
+  dead_ = true;
+  throw std::runtime_error(
+      std::string("pq::store: ") + what + " " +
+      segment_path(opts_.dir, port_, next_segment_index_ - 1));
 }
 
 void ArchiveWriter::close() {

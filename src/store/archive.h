@@ -72,18 +72,21 @@ class ArchiveWriter final : public control::TelemetrySink {
 
   /// Writes the open segment's footer and closes it. Idempotent. Without
   /// close(), the archive is still recoverable — it just looks like a
-  /// crash (that is the point).
+  /// crash (that is the point). Throws std::runtime_error when the footer
+  /// may not have reached the file; the writer is then dead.
   void close();
 
   /// Pushes stdio's buffer of the open segment into the kernel without
   /// closing it: the page cache survives a SIGKILL, the user-space buffer
   /// does not. A long-running process calls this on a timer so a kill loses
   /// at most one tick of telemetry. Durability against power loss is the
-  /// fsync policy's job. No-op once closed or dead.
+  /// fsync policy's job. No-op once closed or dead; throws
+  /// std::runtime_error (and the writer dies) when the bytes do not reach
+  /// the file.
   void flush();
 
-  /// True after an injected torn write: the simulated process is dead, all
-  /// further events are discarded and no footer will be written.
+  /// True after an injected torn write or a segment that failed to seal:
+  /// all further events are discarded and no footer will be written.
   bool dead() const { return dead_; }
 
   std::uint32_t port() const { return port_; }
@@ -98,8 +101,14 @@ class ArchiveWriter final : public control::TelemetrySink {
               std::uint64_t t_hi, const Record& rec,
               std::span<const std::uint8_t> logical);
   void open_segment();
+  /// Writes the footer and closes the file. Throws if the footer may not
+  /// have reached it (fail_segment).
   void close_segment();
   void sync_file();
+  /// The open segment can no longer be sealed: closes it as it stands,
+  /// marks the writer dead, so no later segment opens past a chain that
+  /// ends here, and throws std::runtime_error naming `what` and the file.
+  [[noreturn]] void fail_segment(const char* what);
   /// ArchiveOptions::resume: repairs the file the port's chain walk ends
   /// on, deletes the unreachable later segments and positions the writer
   /// after the surviving chain.

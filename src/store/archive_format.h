@@ -35,9 +35,10 @@ inline constexpr std::uint32_t kEndMagic = 0x50514531;      // "PQE1"
 /// v1: payloads are the logical snapshot bytes verbatim. v2: payloads carry
 /// an encoding tag + delta/varint compression (block_codec_v2.h) and the
 /// footer grows a sparse time index. Only v2 is written; v1 is frozen and
-/// read only. Readers dispatch per segment, so mixed-version chains (a v1
-/// head continued by a v2 writer, or a v2-recoded cold head in front of a
-/// v1 tail after compaction) read seamlessly.
+/// read only, and no program rewrites a finished segment, so a v1 segment
+/// stays v1 on disk. Readers dispatch per segment, so the mixed chain a
+/// resumed writer makes of a v1 archive (a v1 head continued in v2) reads
+/// seamlessly.
 inline constexpr std::uint16_t kFormatVersionV1 = 1;
 inline constexpr std::uint16_t kFormatVersionV2 = 2;
 /// Default sampling stride of the sparse time index (one sample every N
@@ -164,6 +165,8 @@ struct ArchiveOptions {
   /// segments, and continues appending in a fresh segment after the highest
   /// surviving index. The repair keeps exactly the prefix ArchiveReader
   /// would have recovered, so restart never changes what queries can see.
+  /// A footer that cannot be written makes the constructor throw; the file
+  /// keeps its valid prefix, which a reader still recovers.
   bool resume = false;
   /// On-disk format of new segments. Only kFormatVersionV2 is accepted;
   /// the writer throws for any other value.

@@ -28,13 +28,12 @@ struct PortScanResult {
 PortScanResult scan_port(const std::string& dir, std::uint32_t port,
                          std::uint32_t stride) {
   PortScanResult out;
-  const std::vector<SegmentFile> files = list_segment_files(dir, port);
   const auto unreachable =
-      walk_segment_chain(port, files, [&](ChainSegment& seg) {
+      walk_segment_chain(dir, port, [&](ChainSegment& seg) {
         ++out.stats.segments_opened;
         out.stats.bytes_truncated += seg.file_bytes - seg.valid_bytes;
         if (!seg.clean()) ++out.stats.recoveries;
-        if (!seg.scan.header_ok) return true;
+        if (!seg.scan.header_ok) return;
         const SegmentScan& scan = seg.scan;
         // The first file's header is the register layout of last resort.
         if (out.rec.segments.empty()) out.rec.header = scan.header;
@@ -66,7 +65,6 @@ PortScanResult scan_port(const std::string& dir, std::uint32_t port,
         out.stats.blocks_recovered += seg.blocks.size();
         std::move(seg.blocks.begin(), seg.blocks.end(),
                   std::back_inserter(out.rec.blocks));
-        return true;
       });
   for (const auto& file : unreachable) {
     std::error_code ec;

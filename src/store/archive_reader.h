@@ -1,8 +1,8 @@
 // Recovery scan and retroactive query engine over a pq::store archive.
 //
 // The reader trusts nothing but the CRCs: on open it reads each port's
-// chain through the segment-chain walk (segment_chain.h, the rule resume
-// repair and compaction share), keeps exactly the longest valid prefix of
+// chain through the segment-chain walk (segment_chain.h, the rule it shares
+// with the writer's resume repair), keeps exactly the longest valid prefix of
 // each port's stream and truncates everything after the first torn or
 // corrupt byte (the footer, when present and consistent with the scan,
 // only confirms a clean close — it is never used to skip verification). v2

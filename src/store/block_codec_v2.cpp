@@ -403,42 +403,6 @@ template void SegmentPayloadCodec::advance(std::uint32_t,
 template void SegmentPayloadCodec::advance(std::uint32_t,
                                            const control::DqCapture&);
 
-namespace {
-
-template <class Record>
-bool encode_parsed(SegmentPayloadCodec& codec, std::uint32_t partition,
-                   std::span<const std::uint8_t> logical,
-                   std::vector<std::uint8_t>& out) {
-  Record rec;
-  parse(logical, rec);  // decode() accepted these bytes, so they parse
-  const bool delta = codec.encode(partition, rec, logical, out);
-  codec.advance(partition, rec);
-  return delta;
-}
-
-}  // namespace
-
-bool SegmentPayloadCodec::encode_logical(BlockKind kind,
-                                         std::uint32_t partition,
-                                         std::span<const std::uint8_t> logical,
-                                         std::vector<std::uint8_t>& out) {
-  switch (kind) {
-    case BlockKind::kWindowSnapshot:
-      return encode_parsed<control::WindowSnapshot>(*this, partition, logical,
-                                                    out);
-    case BlockKind::kMonitorSnapshot:
-      return encode_parsed<control::MonitorSnapshot>(*this, partition,
-                                                     logical, out);
-    case BlockKind::kCalibration:
-      return encode_parsed<control::CalibrationRecord>(*this, partition,
-                                                       logical, out);
-    case BlockKind::kDqCapture:
-      break;
-  }
-  put_raw(logical, out);
-  return false;
-}
-
 BlockDecodeStatus SegmentPayloadCodec::decode(
     std::uint16_t version, BlockKind kind, std::uint32_t partition,
     std::span<const std::uint8_t> payload, std::vector<std::uint8_t>& logical) {

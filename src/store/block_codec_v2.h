@@ -26,8 +26,8 @@
 //
 // Delta bases reset at every segment boundary (the first block of each
 // (kind, partition) in a segment is written raw), which keeps segments
-// self-contained: retention can drop old segments and the compactor can
-// rewrite one segment in isolation without ever stranding a delta chain.
+// self-contained: retention can drop old segments, and resume can seal a
+// torn one, without ever stranding a delta chain.
 // Structure changes (a calibration resizing the register file) and
 // dq-captures fall back to raw — the encoder refuses, it never guesses.
 //
@@ -37,8 +37,8 @@
 // snapshots.
 //
 // SegmentPayloadCodec is the one place that applies the tag and base rules;
-// ArchiveWriter and the compactor encode through it and the segment-chain
-// walk (segment_chain.h) decodes through it.
+// ArchiveWriter encodes through it and the segment-chain walk
+// (segment_chain.h) decodes through it.
 #pragma once
 
 #include <cstdint>
@@ -78,12 +78,6 @@ class SegmentPayloadCodec {
   /// Makes `rec` the base of its kind and partition for the next block.
   template <class Record>
   void advance(std::uint32_t partition, const Record& rec);
-
-  /// encode() and advance() for a logical payload of `kind` that decode()
-  /// accepted, parsed back into its record: the compactor's re-encode.
-  bool encode_logical(BlockKind kind, std::uint32_t partition,
-                      std::span<const std::uint8_t> logical,
-                      std::vector<std::uint8_t>& out);
 
   /// Sets `logical` to the logical payload of `payload`, one block of a
   /// segment in format `version` (a v1 payload is a raw body without the

@@ -65,23 +65,7 @@ void decode_blocks(std::span<const std::uint8_t> data, ChainSegment& seg) {
                                    : scan.header_bytes + scan.blocks_bytes;
 }
 
-}  // namespace
-
-std::vector<std::uint32_t> list_ports(const std::string& archive_dir) {
-  std::vector<std::uint32_t> ports;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(archive_dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    std::uint32_t port = 0;
-    if (entry.is_directory(ec) && parse_number(name, "port-", "", port) &&
-        name == last_part(port_dir(archive_dir, port))) {
-      ports.push_back(port);
-    }
-  }
-  std::sort(ports.begin(), ports.end());
-  return ports;
-}
-
+/// The port's canonically named segment files, ascending by index.
 std::vector<SegmentFile> list_segment_files(const std::string& archive_dir,
                                             std::uint32_t port) {
   std::vector<SegmentFile> files;
@@ -104,9 +88,27 @@ std::vector<SegmentFile> list_segment_files(const std::string& archive_dir,
   return files;
 }
 
-std::span<const SegmentFile> walk_segment_chain(
-    std::uint32_t port, std::span<const SegmentFile> files,
-    const std::function<bool(ChainSegment&)>& visit) {
+}  // namespace
+
+std::vector<std::uint32_t> list_ports(const std::string& archive_dir) {
+  std::vector<std::uint32_t> ports;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(archive_dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    std::uint32_t port = 0;
+    if (entry.is_directory(ec) && parse_number(name, "port-", "", port) &&
+        name == last_part(port_dir(archive_dir, port))) {
+      ports.push_back(port);
+    }
+  }
+  std::sort(ports.begin(), ports.end());
+  return ports;
+}
+
+std::vector<SegmentFile> walk_segment_chain(
+    const std::string& archive_dir, std::uint32_t port,
+    const std::function<void(ChainSegment&)>& visit) {
+  std::vector<SegmentFile> files = list_segment_files(archive_dir, port);
   for (std::size_t i = 0; i < files.size(); ++i) {
     const std::vector<std::uint8_t> data = read_file(files[i].path);
     ChainSegment seg;
@@ -118,8 +120,12 @@ std::span<const SegmentFile> walk_segment_chain(
         (i == 0 || files[i].index == files[i - 1].index + 1);
     if (!in_sequence) seg.scan = SegmentScan{};
     if (seg.scan.header_ok) decode_blocks(data, seg);
-    if (!visit(seg)) return {};
-    if (!seg.clean()) return files.subspan(i + 1);
+    visit(seg);
+    if (!seg.clean()) {
+      files.erase(files.begin(),
+                  files.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+      return files;
+    }
   }
   return {};
 }

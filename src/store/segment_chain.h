@@ -1,12 +1,12 @@
-// The one walk over a port's segment chain. Recovery (ArchiveReader), the
-// writer's resume repair and compaction all read a chain through it, so
-// they agree on where it ends. The chain rule:
+// The one walk over a port's segment chain. Recovery (ArchiveReader) and
+// the writer's resume repair both read a chain through it, so they agree on
+// where it ends. The chain rule:
 //
 //   names   a directory is port P only if its name is exactly the last part
 //           of port_dir(dir, P); a file is in P's chain only if its path is
 //           exactly segment_path(dir, P, i) for some index i. Anything else
-//           (a `port-0.bak` copy, `seg-000001 (copy).pqs`, a compactor
-//           `.tmp` rewrite) is not part of the archive.
+//           (a `port-0.bak` copy, `seg-000001 (copy).pqs`) is not part of
+//           the archive.
 //   order   ascending i.
 //   anchor  the first file, whatever its index (retention may have pruned
 //           the head). After it, each file must carry the next index, both
@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -37,10 +36,6 @@ struct SegmentFile {
   std::uint32_t index = 0;
   std::string path;
 };
-
-/// The port's canonically named segment files, ascending by index.
-std::vector<SegmentFile> list_segment_files(const std::string& archive_dir,
-                                            std::uint32_t port);
 
 /// One CRC-verified block, in the writer's append order. `payload` is
 /// always the logical (v1) snapshot bytes, whatever the segment format.
@@ -73,14 +68,13 @@ struct ChainSegment {
   }
 };
 
-/// Walks `files` (list_segment_files' result, or a prefix of it) in order,
-/// holding one file in memory at a time, and calls `visit` on each file it
-/// opens: every clean segment, then the file that ends the chain. `visit`
-/// returns false to stop the walk. Returns the files after the one that
-/// ended the chain, which no reader reaches; the span is empty when the
-/// chain runs to the end of `files` or `visit` stopped the walk.
-std::span<const SegmentFile> walk_segment_chain(
-    std::uint32_t port, std::span<const SegmentFile> files,
-    const std::function<bool(ChainSegment&)>& visit);
+/// Walks the port's canonically named segment files in ascending index
+/// order, holding one file in memory at a time, and calls `visit` on each
+/// file it opens: every clean segment, then the file that ends the chain.
+/// Returns the files after the one that ended the chain, which no reader
+/// reaches; empty when the chain runs to the last file.
+std::vector<SegmentFile> walk_segment_chain(
+    const std::string& archive_dir, std::uint32_t port,
+    const std::function<void(ChainSegment&)>& visit);
 
 }  // namespace pq::store

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Archive v2 compatibility battery: the committed v1 golden archive
 # (tests/data/golden_archive_v1/, written by a v1 writer; v1 is frozen and
-# no longer written, so this fixture is the only v1 writer output), a mixed
-# v1+v2 chain produced by compacting it, and a fresh v2-only archive must
-# all answer the culprit queries byte-identically to pq_offline over
-# records rebuilt from the same trace with the same parameters. On top of
-# that: compaction must actually shrink the cold bytes, the indexed
-# `--as-of` seek must byte-match the forced full scan, look-alike names
-# must not change what the archive holds, and `--strict` must still exit 3
-# when a v2 tail is torn. Step 0 pins the bytes the v2 writer and the
-# compactor emit (segment headers; window, monitor and calibration blocks;
-# footers with the sparse time index).
+# no longer written, so this fixture is the only v1 writer output) and a
+# fresh v2-only archive must both answer the culprit queries
+# byte-identically to pq_offline over records rebuilt from the same trace
+# with the same parameters. On top of that: the indexed `--as-of` seek must
+# byte-match the forced full scan, look-alike names must not change what
+# the archive holds, and `--strict` must still exit 3 when a v2 tail is
+# torn. Step 0 pins the bytes the v2 writer emits (segment headers; window,
+# monitor and calibration blocks; footers with the sparse time index). The
+# mixed chain a resumed writer makes of a v1 archive is covered by
+# tests/store/archive_seek_test.cpp.
 #
 # $1 is the directory holding the pq_* binaries (a build root is accepted
 # and resolved to its tools/ subdirectory); $2 is tests/data/.
@@ -21,7 +21,7 @@ DATA_DIR="${2:?usage: golden_archive_v2_test.sh <tools-dir-or-build-dir> <data-d
 if [[ ! -x "$TOOLS_DIR/pq_replay" && -x "$TOOLS_DIR/tools/pq_replay" ]]; then
   TOOLS_DIR="$TOOLS_DIR/tools"
 fi
-for bin in pq_replay pq_offline pq_query pq_compact; do
+for bin in pq_replay pq_offline pq_query; do
   if [[ ! -x "$TOOLS_DIR/$bin" ]]; then
     echo "$bin not found under '$1'" >&2
     exit 2
@@ -59,8 +59,8 @@ pin() { # pin <file> <sha256>
     || { echo "$1 has sha256 $got, pinned $2" >&2; exit 1; }
 }
 
-# 0. The v2 writer and the compactor emit the pinned bytes, and a fresh v2
-#    archive lists the same blocks as the v1 fixture.
+# 0. The v2 writer emits the pinned bytes, and a fresh v2 archive lists the
+#    same blocks as the v1 fixture.
 "$TOOLS_DIR/pq_replay" "$TRACE" --batch 256 "${PARAMS[@]}" \
   --archive-dir "$WORK/v2" \
   --archive-segment-bytes 196608 --archive-fsync segment > /dev/null
@@ -80,36 +80,14 @@ ask "$FIXTURE" "$WORK/v1.txt"
 diff -u "$WORK/want.txt" "$WORK/v1.txt" \
   || { echo "v1 fixture answers diverged" >&2; exit 1; }
 
-# 2. Compacting it yields a mixed chain (cold segments v2, newest still
-#    v1), smaller on disk, answering identically.
-cp -r "$FIXTURE" "$WORK/mixed"
-BEFORE=$(du -sb "$WORK/mixed" | cut -f1)
-"$TOOLS_DIR/pq_compact" "$WORK/mixed" | tee "$WORK/compact.txt" >&2
-grep -q ' 1 rewritten' "$WORK/compact.txt" \
-  || { echo "compaction rewrote nothing" >&2; exit 1; }
-pin "$WORK/mixed/port-0/seg-000000.pqs" \
-  c9d61243efb08cc346319553bb717744ae5ac46e13187f521957cf723556b2a7
-pin "$WORK/mixed/port-0/seg-000001.pqs" \
-  24384382401259df26e14b7e7d519d81750ccf4f63adbea0b40a85280c03c7e3
-AFTER=$(du -sb "$WORK/mixed" | cut -f1)
-[[ "$AFTER" -lt "$BEFORE" ]] \
-  || { echo "compaction did not shrink the archive ($BEFORE -> $AFTER)" >&2; exit 1; }
-"$TOOLS_DIR/pq_query" "$WORK/mixed" info | grep -q 'seg 000000 v2' \
-  || { echo "compacted cold segment is not v2" >&2; exit 1; }
-"$TOOLS_DIR/pq_query" "$WORK/mixed" info | grep -q 'seg 000001 v1' \
-  || { echo "protected newest segment changed format" >&2; exit 1; }
-ask "$WORK/mixed" "$WORK/mixed.txt"
-diff -u "$WORK/want.txt" "$WORK/mixed.txt" \
-  || { echo "mixed-chain answers diverged" >&2; exit 1; }
-
-# 3. The fresh v2-only archive of step 0 answers identically too.
+# 2. The fresh v2-only archive of step 0 answers identically too.
 ask "$WORK/v2" "$WORK/v2.txt"
 diff -u "$WORK/want.txt" "$WORK/v2.txt" \
   || { echo "v2 archive answers diverged" >&2; exit 1; }
 
-# 4. The indexed --as-of seek byte-matches the forced full scan, across
-#    every chain flavour and horizons on/off block boundaries.
-for dir in "$FIXTURE" "$WORK/mixed" "$WORK/v2"; do
+# 3. The indexed --as-of seek byte-matches the forced full scan, on both
+#    chains and at horizons on and off block boundaries.
+for dir in "$FIXTURE" "$WORK/v2"; do
   for t in 100 1376474 2500000 3757067 99999999; do
     ask "$dir" "$WORK/seek_a.txt" --as-of "$t"
     ask "$dir" "$WORK/seek_b.txt" --as-of "$t" --full-scan
@@ -118,7 +96,7 @@ for dir in "$FIXTURE" "$WORK/mixed" "$WORK/v2"; do
   done
 done
 
-# 5. Look-alike names are not part of the archive: a backup copy of the
+# 4. Look-alike names are not part of the archive: a backup copy of the
 #    port directory without its newest segment and a file-manager copy of
 #    a segment change nothing `pq_query info` reports.
 cp -r "$WORK/v2" "$WORK/lookalike"
@@ -131,7 +109,7 @@ cp "$WORK/lookalike/port-0/seg-000000.pqs" \
 diff -u "$WORK/info_want.txt" "$WORK/info_got.txt" \
   || { echo "look-alike names changed the archive" >&2; exit 1; }
 
-# 6. --strict still turns a torn v2 tail into exit code 3.
+# 5. --strict still turns a torn v2 tail into exit code 3.
 LAST_SEG="$(find "$WORK/v2" -name 'seg-*.pqs' | sort | tail -1)"
 SIZE="$(stat -c %s "$LAST_SEG")"
 truncate -s "$((SIZE - SIZE / 3))" "$LAST_SEG"

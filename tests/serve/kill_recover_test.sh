@@ -14,6 +14,9 @@
 #      SIGTERM (exit 0).
 #   5. A graceful SIGTERM run loses zero submitted records.
 #
+# First, pq_serve must refuse an option it does not define (a typo, or a
+# removed flag) with exit 2, naming it, instead of running without it.
+#
 # $1 is the directory holding the pq_* binaries (a build root is accepted).
 set -euo pipefail
 
@@ -56,6 +59,24 @@ wait_socket() {
   echo "timed out waiting for socket $sock" >&2
   return 1
 }
+
+# --- 0. Unknown options are refused ---------------------------------------
+for UNKNOWN in "--archive-dri $WORK/typo_dir" "--compact-every-ms 5"; do
+  set +e
+  # shellcheck disable=SC2086  # the option and its value are two words
+  "$TOOLS_DIR/pq_serve" --ports 0 $UNKNOWN --exit-at-eof \
+    > "$WORK/unknown.log" 2>&1
+  RC=$?
+  set -e
+  if (( RC != 2 )) || ! grep -q -- "unknown option '${UNKNOWN%% *}'" \
+       "$WORK/unknown.log"; then
+    echo "pq_serve $UNKNOWN exited $RC, want 2 naming ${UNKNOWN%% *}:" >&2
+    cat "$WORK/unknown.log" >&2
+    exit 1
+  fi
+done
+[[ ! -e "$WORK/typo_dir" ]] \
+  || { echo "a refused run wrote an archive" >&2; exit 1; }
 
 PORT=7
 for SEED in 1 2 3; do

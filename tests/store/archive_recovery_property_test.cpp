@@ -1,10 +1,10 @@
 // Crash-recovery property suite for pq::store: whatever happens to the
-// bytes — truncation at an arbitrary offset, a flipped bit, an injected
-// torn write (the faults-layer crash model), or a kill in the middle of a
-// segment compaction — the reader must never crash or fabricate, must
-// recover exactly a prefix of the intact stream, and must account for the
-// damage in its recovery counters, and a writer resumed on the damaged
-// archive must repair it to exactly what the reader recovered. Every
+// bytes — truncation at an arbitrary offset, a flipped bit, or an injected
+// torn write (the faults-layer crash model) — the reader must never crash
+// or fabricate, must recover exactly a prefix of the intact stream, and
+// must account for the damage in its recovery counters, and a writer
+// resumed on the damaged archive must repair it to exactly what the reader
+// recovered. Every
 // property runs against both on-disk formats: raw v1 (rewritten from a
 // v2-written chain, archive_test_util.h) and delta-coded v2 (where a
 // single flipped bit can invalidate a whole delta chain — but only ever by
@@ -22,7 +22,6 @@
 #include "faults/fault_plan.h"
 #include "store/archive.h"
 #include "store/archive_reader.h"
-#include "store/compactor.h"
 #include "archive_test_util.h"
 #include "../integration/sharded_harness.h"
 
@@ -324,115 +323,6 @@ TEST_P(ArchiveRecoveryProperty, TornWriteInjectorDiesIntoARecoverablePrefix) {
   EXPECT_GT(nonempty_windows, 0);
   EXPECT_GT(nonempty_older_windows, 0);
   EXPECT_GT(nonempty_monitors, 0);
-}
-
-/// Everything compaction promises to preserve, in one comparable bundle:
-/// every non-calibration block's logical bytes in order, the effective
-/// (newest-wins) calibration, and the answers of both query families at
-/// the full horizon.
-struct CompactionFingerprint {
-  std::vector<store::RecoveredBlock> snapshot_blocks;
-  double z0 = 0.0;
-  core::FlowCounts windows;
-  std::size_t culprits = 0;
-
-  bool operator==(const CompactionFingerprint& o) const {
-    if (snapshot_blocks.size() != o.snapshot_blocks.size()) return false;
-    for (std::size_t i = 0; i < snapshot_blocks.size(); ++i) {
-      const auto& x = snapshot_blocks[i];
-      const auto& y = o.snapshot_blocks[i];
-      if (x.kind != y.kind || x.partition != y.partition ||
-          x.t_lo != y.t_lo || x.t_hi != y.t_hi || x.payload != y.payload) {
-        return false;
-      }
-    }
-    return z0 == o.z0 && windows == o.windows && culprits == o.culprits;
-  }
-};
-
-CompactionFingerprint fingerprint(const store::ArchiveReader& r) {
-  CompactionFingerprint fp;
-  if (!r.has_port(0)) return fp;
-  for (const auto& b : r.recovered().at(0).blocks) {
-    if (b.kind != store::BlockKind::kCalibration) fp.snapshot_blocks.push_back(b);
-  }
-  fp.z0 = r.to_records(0).z0;
-  fp.windows = r.query_time_windows(0, 0, 2'000'000);
-  fp.culprits = r.query_queue_monitor(0, 500'000).size();
-  return fp;
-}
-
-TEST_P(ArchiveRecoveryProperty, MidCompactionKillNeverChangesAnAnswer) {
-  // A kill at ANY byte of the compaction rewrite must leave the archive
-  // answering exactly as before: the tmp-then-rename protocol means every
-  // segment is either wholly old or wholly new, and a stale .tmp is
-  // invisible. Only superseded calibrations may vanish — never a snapshot,
-  // never the effective calibration, never a query answer.
-  const TempDir dir;
-  write_intact_archive(dir.path(), format());
-  store::ArchiveReader before(dir.path());
-  const auto want = fingerprint(before);
-  ASSERT_GT(want.snapshot_blocks.size(), 50u);
-
-  faults::FaultLog log;
-  bool saw_tear = false;
-  for (int trial = 0; trial < 8; ++trial) {
-    faults::TornWriteConfig cfg;
-    cfg.probability = 0.5;  // the rewrite is a handful of large appends
-    faults::TornWriteInjector injector(cfg, 777 + 13 * seed() + trial, &log);
-    const store::CompactionPolicy policy;  // defaults: keep the newest 1
-    const auto s = store::compact_port_chain(dir.path(), 0, policy,
-                                             &injector);
-    if (s.torn_compactions > 0) saw_tear = true;
-
-    store::ArchiveReader after(dir.path());
-    EXPECT_TRUE(fingerprint(after) == want)
-        << "trial " << trial << (saw_tear ? " (torn)" : " (clean)");
-    EXPECT_EQ(after.stats().recoveries, 0u);
-    EXPECT_EQ(after.stats().decode_errors, 0u);
-  }
-  // Finish with an un-faulted pass: still answer-identical, and the stale
-  // .tmp from any killed run must not confuse it.
-  const store::CompactionPolicy policy;
-  (void)store::compact_port_chain(dir.path(), 0, policy);
-  store::ArchiveReader final_reader(dir.path());
-  EXPECT_TRUE(fingerprint(final_reader) == want);
-}
-
-TEST_P(ArchiveRecoveryProperty, CompactingADamagedChainNeverExtendsIt) {
-  // Damage ends the recovered horizon; compaction must preserve that
-  // boundary exactly — the cold rewrite can never "heal" a torn segment or
-  // resurrect blocks past it. (Compaction refuses the whole chain from the
-  // first damaged segment on, so here — damage mid-chain — the recovered
-  // stream must come through untouched, calibrations included.)
-  Rng rng(6007 + seed());
-  for (int trial = 0; trial < 6; ++trial) {
-    const TempDir dir;
-    write_intact_archive(dir.path(), format());
-    const auto victims = segment_files(dir.path());
-    ASSERT_GT(victims.size(), 3u);
-    // Damage an early segment so a suffix of the chain becomes unreachable.
-    const std::size_t v = rng.uniform_below(victims.size() - 2);
-    const auto size = fs::file_size(victims[v]);
-    fs::resize_file(victims[v], rng.uniform_below(size));
-
-    store::ArchiveReader damaged(dir.path());
-    const auto damaged_content = damaged.logical_content();
-
-    // Pure recode (no calibration drops): segments ahead of the damage may
-    // legitimately be rewritten, so byte-identity of the recovered stream
-    // is only promised when nothing is deliberately dropped.
-    store::CompactionPolicy policy;
-    policy.drop_superseded_calibrations = false;
-    const auto s = store::compact_archive(dir.path(), policy);
-    EXPECT_GE(s.segments_skipped_damaged, 1u) << "trial " << trial;
-
-    store::ArchiveReader after(dir.path());
-    EXPECT_EQ(after.logical_content(), damaged_content)
-        << "trial " << trial << " damaged " << victims[v];
-    EXPECT_EQ(after.stats().blocks_recovered,
-              damaged.stats().blocks_recovered);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,10 +4,12 @@
 // reader cutting with the index must answer byte-identically to a reader
 // forced onto the linear every-block path. The on-disk format is a test
 // parameter (v1 chains, rewritten from the v2 writer's output, get the same
-// in-memory index as v2), and the writer deliberately emits duplicate and
+// in-memory index as v2; the mixed chain is the one a resumed writer makes
+// of a v1 archive), and the writer deliberately emits duplicate and
 // clustered timestamps so the binary search has ties to get wrong.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -86,12 +88,33 @@ std::string records_bytes(const store::ArchiveReader& r, Timestamp as_of) {
   return os.str();
 }
 
+/// The chain a resumed writer makes of a v1 archive: a v1 head (the first
+/// half of the stream, rewritten as v1) continued in v2.
+constexpr int kMixed = 0;
+
+/// Param: the on-disk format, 1 or 2 throughout, or kMixed.
 class ArchiveSeek : public ::testing::TestWithParam<int> {
  protected:
   std::uint16_t format() const {
     return static_cast<std::uint16_t>(GetParam());
   }
 };
+
+/// Appends rounds [from, to) of the stream whose window snapshots are
+/// taken at `times` and closes the writer.
+store::WriterStats write_rounds(const store::ArchiveOptions& opts,
+                                const std::vector<Timestamp>& times,
+                                std::uint32_t from, std::uint32_t to) {
+  store::ArchiveWriter w(0, test_params(), 8, opts);
+  for (std::uint32_t i = from; i < to; ++i) {
+    const Timestamp t = times[i];
+    w.on_window_snapshot(0, make_window_snapshot(t, i + 1));
+    if (i % 3 == 0) w.on_monitor_snapshot(0, make_monitor_snapshot(t, i + 1));
+    if (i % 10 == 0) w.on_calibration(make_calibration(t, 0.4 + 0.001 * i));
+  }
+  w.close();
+  return w.stats();
+}
 
 TEST_P(ArchiveSeek, IndexedSeekMatchesFullScanEverywhere) {
   const TempDir dir;
@@ -103,22 +126,27 @@ TEST_P(ArchiveSeek, IndexedSeekMatchesFullScanEverywhere) {
   // the previous instant, so adjacent blocks share t_hi and the cut's
   // tie-breaking is actually exercised.
   Rng rng(515 + GetParam());
+  constexpr std::uint32_t kRounds = 90;
   std::vector<Timestamp> boundaries;
-  {
-    store::ArchiveWriter w(0, test_params(), 8, opts);
-    Timestamp t = 50'000;
-    for (std::uint32_t i = 0; i < 90; ++i) {
-      if (rng.uniform_below(4) != 0) t += 1'000 + rng.uniform_below(40'000);
-      boundaries.push_back(t);
-      w.on_window_snapshot(0, make_window_snapshot(t, i + 1));
-      if (i % 3 == 0) w.on_monitor_snapshot(0, make_monitor_snapshot(t, i + 1));
-      if (i % 10 == 0) w.on_calibration(make_calibration(t, 0.4 + 0.001 * i));
-    }
-    w.close();
-    // The index must span multiple segment boundaries.
-    ASSERT_GT(w.stats().segments_opened, 2u);
+  for (Timestamp t = 50'000; boundaries.size() < kRounds;) {
+    if (rng.uniform_below(4) != 0) t += 1'000 + rng.uniform_below(40'000);
+    boundaries.push_back(t);
   }
-  if (format() == store::kFormatVersionV1) harness::rewrite_as_v1(dir.path());
+  if (GetParam() == kMixed) {
+    write_rounds(opts, boundaries, 0, kRounds / 2);
+    harness::rewrite_as_v1(dir.path());
+    store::ArchiveOptions resumed = opts;
+    resumed.resume = true;
+    EXPECT_EQ(write_rounds(resumed, boundaries, kRounds / 2, kRounds)
+                  .tail_repairs,
+              0u);
+  } else {
+    // The index must span multiple segment boundaries.
+    ASSERT_GT(write_rounds(opts, boundaries, 0, kRounds).segments_opened, 2u);
+    if (format() == store::kFormatVersionV1) {
+      harness::rewrite_as_v1(dir.path());
+    }
+  }
 
   store::ReaderOptions indexed_opts;
   indexed_opts.seek_index_stride = 4;  // dense samples on a small archive
@@ -126,10 +154,31 @@ TEST_P(ArchiveSeek, IndexedSeekMatchesFullScanEverywhere) {
   store::ReaderOptions scan_opts;
   scan_opts.use_seek_index = false;
   store::ArchiveReader scan(dir.path(), scan_opts);
+  ASSERT_EQ(indexed.stats().recoveries, 0u);
   ASSERT_EQ(indexed.stats().blocks_recovered, scan.stats().blocks_recovered);
   ASSERT_EQ(indexed.logical_content(), scan.logical_content());
-  for (const auto& seg : indexed.recovered().at(0).segments) {
-    ASSERT_EQ(seg.version, format());
+  const auto& segments = indexed.recovered().at(0).segments;
+  if (GetParam() == kMixed) {
+    // A v1 head, then a v2 tail, each more than one segment long.
+    std::vector<std::uint16_t> versions;
+    for (const auto& seg : segments) versions.push_back(seg.version);
+    ASSERT_TRUE(std::is_sorted(versions.begin(), versions.end()));
+    ASSERT_GE(std::count(versions.begin(), versions.end(),
+                         store::kFormatVersionV1),
+              2);
+    ASSERT_GE(std::count(versions.begin(), versions.end(),
+                         store::kFormatVersionV2),
+              2);
+    // Resume adds segments, never content: the chain holds what one v2
+    // writer's run over the whole stream holds.
+    const TempDir whole;
+    store::ArchiveOptions whole_opts = opts;
+    whole_opts.dir = whole.path();
+    write_rounds(whole_opts, boundaries, 0, kRounds);
+    ASSERT_EQ(indexed.logical_content(),
+              store::ArchiveReader(whole.path()).logical_content());
+  } else {
+    for (const auto& seg : segments) ASSERT_EQ(seg.version, format());
   }
 
   const Timestamp first = boundaries.front();
@@ -173,10 +222,14 @@ TEST_P(ArchiveSeek, IndexedSeekMatchesFullScanEverywhere) {
   EXPECT_EQ(scan.seek_stats().seeks, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Formats, ArchiveSeek, ::testing::Values(1, 2),
+INSTANTIATE_TEST_SUITE_P(Formats, ArchiveSeek,
+                         ::testing::Values(1, 2, kMixed),
                          [](const ::testing::TestParamInfo<int>& param_info) {
-                           std::string name = "v";
-                           name += std::to_string(param_info.param);
+                           std::string name = "mixed";
+                           if (param_info.param != kMixed) {
+                             name = "v";
+                             name += std::to_string(param_info.param);
+                           }
                            return name;
                          });
 

@@ -1,14 +1,16 @@
 // pq::store writer/reader unit coverage: clean roundtrips, segment rolling,
-// fsync policies, footer verification and the byte-match with the one-shot
-// records path. The crash/corruption behaviour has its own suite
-// (archive_recovery_property_test.cpp).
+// a segment that cannot be sealed, fsync policies, footer verification and
+// the byte-match with the one-shot records path. The crash/corruption
+// behaviour has its own suite (archive_recovery_property_test.cpp).
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 
 #include "control/register_records.h"
 #include "store/archive.h"
 #include "store/archive_reader.h"
+#include "archive_test_util.h"
 #include "../integration/sharded_harness.h"
 
 namespace pq {
@@ -236,6 +238,40 @@ TEST(ArchiveStore, V2SegmentsRollWithPerSegmentKeyframes) {
     EXPECT_TRUE(seg.footer_ok);
     EXPECT_GE(seg.index_samples, 1u);
   }
+}
+
+TEST(ArchiveStore, SegmentThatCannotBeSealedStopsTheWriter) {
+  // The file-size limit lets the first segment's blocks reach the file but
+  // cuts its footer. The roll must report it, and no segment may open past
+  // the cut one: a reader would never reach it, so every block the writer
+  // counts must be one a reader recovers.
+  const TempDir dir;
+  store::ArchiveOptions opts;
+  opts.dir = dir.path();
+  opts.segment_bytes = 4 * 1024;
+  store::ArchiveWriter w(1, test_params(), 8, opts);
+  {
+    const harness::FileSizeLimit limit(4300);
+    EXPECT_THROW(
+        {
+          for (std::uint32_t i = 0; i < 60; ++i) {
+            w.on_window_snapshot(0,
+                                 make_window_snapshot(10'000 * (i + 1), i + 1));
+          }
+        },
+        std::runtime_error);
+  }
+  EXPECT_TRUE(w.dead());
+  w.on_window_snapshot(0, make_window_snapshot(1'000'000, 99));  // discarded
+  w.close();
+  EXPECT_GT(w.stats().blocks_appended, 0u);
+  EXPECT_EQ(w.stats().segments_opened, 1u);
+  EXPECT_EQ(w.stats().segments_closed, 0u);
+  const store::ArchiveReader r(dir.path());
+  EXPECT_EQ(r.stats().blocks_recovered, w.stats().blocks_appended);
+  EXPECT_EQ(r.stats().footer_hits, 0u);
+  EXPECT_TRUE(std::filesystem::exists(store::segment_path(dir.path(), 1, 0)));
+  EXPECT_FALSE(std::filesystem::exists(store::segment_path(dir.path(), 1, 1)));
 }
 
 TEST(ArchiveStore, PerBlockFsyncMakesEveryBlockRecoverableAtOnce) {

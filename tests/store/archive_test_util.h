@@ -1,9 +1,13 @@
 // Archive helpers shared by the store suites: whole-file byte access, a
 // rewrite of a v2-written archive as archive v1 (the frozen format no
-// writer produces any more, so the v1 read paths keep their inputs), and
-// CRC-valid blocks whose payload was damaged after the fact.
+// writer produces any more, so the v1 read paths keep their inputs),
+// CRC-valid blocks whose payload was damaged after the fact, and a cap on
+// the size of the files this process writes.
 #pragma once
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -121,5 +125,38 @@ inline void poison_encoding_tag(const std::string& path, std::uint32_t port,
                  payload.at(0) = 0x77;
                });
 }
+
+/// Caps the size of every file this process writes at `bytes`
+/// (RLIMIT_FSIZE) and ignores SIGXFSZ, so a write past the cap fails with
+/// EFBIG instead of killing the process: a disk that stops taking bytes
+/// mid-file. The destructor restores the limit and the signal disposition.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(std::uintmax_t bytes) {
+    if (::getrlimit(RLIMIT_FSIZE, &saved_limit_) != 0) {
+      throw std::runtime_error("getrlimit(RLIMIT_FSIZE) failed");
+    }
+    struct sigaction ignore{};
+    ignore.sa_handler = SIG_IGN;
+    ::sigaction(SIGXFSZ, &ignore, &saved_action_);
+    rlimit cap = saved_limit_;
+    cap.rlim_cur = static_cast<rlim_t>(bytes);
+    if (::setrlimit(RLIMIT_FSIZE, &cap) != 0) {
+      ::sigaction(SIGXFSZ, &saved_action_, nullptr);
+      throw std::runtime_error("setrlimit(RLIMIT_FSIZE) failed");
+    }
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_limit_);
+    ::sigaction(SIGXFSZ, &saved_action_, nullptr);
+  }
+
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_limit_{};
+  struct sigaction saved_action_{};
+};
 
 }  // namespace pq::harness

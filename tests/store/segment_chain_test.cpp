@@ -1,20 +1,21 @@
-// The segment-chain rule (store/segment_chain.h) as the reader, the
-// writer's resume repair and the compactor all apply it: numeric index
-// order past six digits, only canonical names, and one end point — a
+// The segment-chain rule (store/segment_chain.h) as the reader and the
+// writer's resume repair both apply it: numeric index order past six
+// digits, only canonical names (resume and retention, the only code that
+// deletes segment files, never touch a look-alike), and one end point — a
 // CRC-valid block that fails to decode ends the chain for resume exactly as
-// it does for recovery.
+// it does for recovery, and a repair that cannot be sealed keeps the file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "store/archive.h"
 #include "store/archive_reader.h"
 #include "store/block_codec_v2.h"
-#include "store/compactor.h"
 #include "archive_test_util.h"
 #include "../integration/sharded_harness.h"
 
@@ -128,21 +129,19 @@ TEST(SegmentChain, SevenDigitIndicesFollowSixDigitOnes) {
   for (std::uint32_t i = 0; i < 8; ++i) want.push_back(time_of(i));
   EXPECT_EQ(window_times(r), want);
 
-  // The next restart continues after the whole chain, and compaction walks
-  // it in the same order: both older segments are eligible and clean.
-  append_snapshots(opts, 8, 1);
-  EXPECT_TRUE(fs::exists(store::segment_path(dir.path(), 0, 1000001)));
-  const auto cs =
-      store::compact_port_chain(dir.path(), 0, store::CompactionPolicy{});
-  EXPECT_EQ(cs.segments_examined, 2u);
-  EXPECT_EQ(cs.segments_skipped_damaged, 0u);
-  EXPECT_EQ(store::ArchiveReader(dir.path()).stats().recoveries, 0u);
+  // The next restart continues after the whole chain.
+  EXPECT_EQ(append_snapshots(opts, 8, 1).tail_repairs, 0u);
+  const store::ArchiveReader again(dir.path());
+  EXPECT_EQ(again.stats().recoveries, 0u);
+  EXPECT_EQ(segment_indices(again),
+            (std::vector<std::uint32_t>{999999, 1000000, 1000001}));
 }
 
 TEST(SegmentChain, LookAlikeNamesAreNotPartOfTheArchive) {
   // Two byte-identical archives; one gains a backup copy of its port
   // directory (minus the newest segment) and a file-manager copy of a
-  // segment. Neither may change what any walk sees.
+  // segment. Neither may change what any walk sees, and neither may be
+  // deleted by the code that deletes segment files: resume and retention.
   const TempDir plain;
   const TempDir dir;
   for (const auto* d : {&plain, &dir}) {
@@ -178,14 +177,21 @@ TEST(SegmentChain, LookAlikeNamesAreNotPartOfTheArchive) {
   std::vector<std::vector<std::uint8_t>> untouched;
   for (const auto& f : backup_files) untouched.push_back(harness::read_bytes(f));
   untouched.push_back(harness::read_bytes(copy));
-  const store::CompactionPolicy policy;
-  const auto cs_want = store::compact_archive(plain.path(), policy);
-  const auto cs_got = store::compact_archive(dir.path(), policy);
-  ASSERT_GT(cs_want.segments_rewritten, 0u);
-  EXPECT_EQ(cs_got.segments_examined, cs_want.segments_examined);
-  EXPECT_EQ(cs_got.segments_rewritten, cs_want.segments_rewritten);
-  EXPECT_EQ(cs_got.segments_skipped_damaged, 0u);
-  EXPECT_EQ(cs_got.bytes_after, cs_want.bytes_after);
+  // Resume both under a retention cap and append enough to roll and retire
+  // segments, seg-000001 (the original of the copy) among them.
+  std::vector<store::WriterStats> resumed;
+  for (const auto* d : {&plain, &dir}) {
+    store::ArchiveOptions opts;
+    opts.dir = d->path();
+    opts.segment_bytes = 2 * 1024;
+    opts.resume = true;
+    opts.retain_segments = 2;
+    resumed.push_back(append_snapshots(opts, 12, 12));
+  }
+  ASSERT_GT(resumed[0].segments_retired, 0u);
+  EXPECT_EQ(resumed[1].segments_retired, resumed[0].segments_retired);
+  EXPECT_EQ(resumed[1].tail_repairs, 0u);
+  EXPECT_FALSE(fs::exists(store::segment_path(dir.path(), 0, 1)));
   for (std::size_t i = 0; i < backup_files.size(); ++i) {
     EXPECT_EQ(harness::read_bytes(backup_files[i]), untouched[i])
         << backup_files[i];
@@ -303,6 +309,38 @@ TEST(SegmentChain, ResumeEndsTheChainAtAnUnparseableRawRecord) {
       EXPECT_EQ(repaired.stats().decode_errors, 0u);
       EXPECT_EQ(repaired.logical_content(), damaged.logical_content());
     }
+  }
+}
+
+TEST(SegmentChain, ResumeThatCannotSealTheTornTailKeepsItsValidPrefix) {
+  // A torn one-segment archive, and a file-size limit that lets the repair
+  // truncate the tail but not write its footer. Resume must report the
+  // failed seal, and must not delete the file: its valid prefix is what a
+  // reader recovers. Small footers fail only when stdio flushes them at
+  // fclose; a footer larger than stdio's buffer fails in fwrite itself.
+  for (const std::uint32_t rounds : {5u, 80u}) {
+    SCOPED_TRACE(std::to_string(rounds) + " rounds");
+    const TempDir dir;
+    store::ArchiveOptions opts;
+    opts.dir = dir.path();
+    append_snapshots(opts, 0, rounds);
+    const std::string seg0 = store::segment_path(dir.path(), 0, 0);
+    const auto scan = store::scan_segment_bytes(harness::read_bytes(seg0), 0);
+    ASSERT_TRUE(scan.footer_ok);
+    fs::resize_file(seg0, scan.entries.back().offset + 5);
+    const store::ArchiveReader torn(dir.path());
+    ASSERT_EQ(torn.stats().blocks_recovered, 2 * rounds - 1);
+
+    opts.resume = true;
+    {
+      const harness::FileSizeLimit limit(fs::file_size(seg0));
+      EXPECT_THROW(store::ArchiveWriter(0, test_params(), 8, opts),
+                   std::runtime_error);
+    }
+    ASSERT_TRUE(fs::exists(seg0));
+    const store::ArchiveReader after(dir.path());
+    EXPECT_EQ(after.stats().blocks_recovered, 2 * rounds - 1);
+    EXPECT_EQ(after.logical_content(), torn.logical_content());
   }
 }
 

@@ -203,7 +203,14 @@ int main(int argc, char** argv) {
   }
 
   if (archive) {
-    archive->close();
+    try {
+      archive->close();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "cannot close archive %s: %s\n",
+                   arg_str(argc, argv, "--archive-dir", "", kFirstOption),
+                   e.what());
+      return 1;
+    }
     const auto s = archive->stats();
     std::printf("archive: %llu blocks / %llu bytes in %llu segment%s "
                 "written to %s\n",

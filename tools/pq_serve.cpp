@@ -14,7 +14,6 @@
 //            [--archive-dir DIR] [--retain-segments N]
 //            [--archive-segment-bytes N] [--archive-fsync none|segment|block]
 //            [--recovery-threads N]
-//            [--compact-every-ms N] [--compact-keep-newest N]
 //            [--query-sock PATH] [--metrics-sock PATH]
 //            [--metrics-out FILE] [--metrics-every-ms N]
 //            [--watchdog-ms N] [--flush-every-ms N] [--poll-sleep-us N]
@@ -26,11 +25,14 @@
 // absorbed, archive footers written, final metrics dumped, exit 0); a
 // second signal aborts immediately. After a SIGKILL, the next start with
 // the same --archive-dir recovers the longest valid prefix and keeps
-// serving queries over it.
+// serving queries over it. An argument that is none of the options above
+// (or the value of one) exits 2 and is named.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -42,6 +44,42 @@
 namespace {
 
 std::atomic<bool> g_stop{false};
+
+/// Every option pq_serve reads; `takes_value` options consume the next
+/// argument.
+struct Option {
+  const char* name;
+  bool takes_value;
+};
+constexpr Option kOptions[] = {
+    {"--ports", true},           {"--feed", true},
+    {"--exit-at-eof", false},    {"--batch", true},
+    {"--queue-cap", true},       {"--overload", true},
+    {"--pin-threads", false},    {"--archive-dir", true},
+    {"--retain-segments", true}, {"--archive-segment-bytes", true},
+    {"--archive-fsync", true},   {"--recovery-threads", true},
+    {"--query-sock", true},      {"--metrics-sock", true},
+    {"--metrics-out", true},     {"--metrics-every-ms", true},
+    {"--watchdog-ms", true},     {"--flush-every-ms", true},
+    {"--poll-sleep-us", true},   {"--faults", true},
+    {"--alpha", true},           {"--k", true},
+    {"--T", true},               {"--m0", true},
+    {"--max-depth", true},       {"--salvage", false},
+    {"--simd", true},            {"--print-simd", false},
+};
+
+/// The first argument that is neither an option in kOptions nor the value
+/// of one, or nullptr.
+const char* first_unknown_option(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const auto* opt = std::find_if(
+        std::begin(kOptions), std::end(kOptions),
+        [&](const Option& o) { return std::strcmp(o.name, argv[i]) == 0; });
+    if (opt == std::end(kOptions)) return argv[i];
+    if (opt->takes_value) ++i;
+  }
+  return nullptr;
+}
 
 void on_signal(int) {
   if (g_stop.exchange(true)) std::_Exit(130);  // second signal: hard abort
@@ -69,6 +107,11 @@ std::vector<std::uint32_t> parse_ports(const char* list) {
 
 int main(int argc, char** argv) {
   using namespace pq;
+
+  if (const char* unknown = first_unknown_option(argc, argv)) {
+    std::fprintf(stderr, "pq_serve: unknown option '%s'\n", unknown);
+    return 2;
+  }
 
   // SIMD dispatch resolves before the daemon spins up any shard thread;
   // --print-simd is a bare probe and exits without needing --ports.
@@ -142,10 +185,6 @@ int main(int argc, char** argv) {
   }
   dc.recovery_threads = static_cast<unsigned>(
       arg_double(argc, argv, "--recovery-threads", 0));
-  dc.compact_every_ms = static_cast<std::uint32_t>(
-      arg_double(argc, argv, "--compact-every-ms", 0));
-  dc.compact_keep_newest = static_cast<std::uint32_t>(
-      arg_double(argc, argv, "--compact-keep-newest", 1));
 
   dc.query_socket = arg_str(argc, argv, "--query-sock", "");
   dc.metrics_socket = arg_str(argc, argv, "--metrics-sock", "");
