@@ -199,56 +199,15 @@ IntervalAnswer AnalysisProgram::query_time_windows_detail(
                           cfg_.salvage_stale_cells, t1, t2);
 }
 
-IntervalAnswer walk_checkpoints(std::span<const WindowSnapshot> snaps,
-                                const core::TtsLayout& layout,
-                                const core::CoefficientTable& coeffs,
-                                bool salvage_stale_cells, Timestamp t1,
-                                Timestamp t2) {
-  IntervalAnswer answer;
-  if (t2 <= t1) {
-    answer.coverage = 1.0;  // an empty span is trivially covered
-    return answer;
-  }
-  if (snaps.empty()) return answer;
-  const Duration t_set = layout.set_period_ns();
-
-  // First snapshot that still contains data up to t2 (taken at or after t2);
-  // fall back to the newest one.
-  std::size_t idx = snaps.size() - 1;
-  for (std::size_t i = 0; i < snaps.size(); ++i) {
-    if (snaps[i].taken_at >= t2) {
-      idx = i;
-      break;
-    }
-  }
-
-  // Walk backwards through checkpoints, each contributing the piece of the
-  // interval it covers most recently (no double counting). `covered_ns`
-  // sums the pieces a consistent checkpoint actually backs; the shortfall
-  // is history lost to slow polling, abandoned torn reads or retention.
-  Duration covered_ns = 0;
-  Timestamp remaining_hi = t2;
-  for (std::size_t i = idx + 1; i-- > 0 && remaining_hi > t1;) {
-    const auto& snap = snaps[i];
-    const Timestamp cover_lo =
-        snap.taken_at > t_set ? snap.taken_at - t_set : 0;
-    const Timestamp qlo = std::max(t1, cover_lo);
-    const Timestamp qhi = std::min(remaining_hi, snap.taken_at);
-    if (qhi <= qlo) {
-      if (snap.taken_at <= t1) break;
-      continue;
-    }
-    const auto filtered = core::filter_stale_cells(
-        snap.state, layout, salvage_stale_cells, snap.taken_at);
-    core::merge_counts(
-        answer.counts,
-        core::estimate_flow_counts(filtered, layout, coeffs, qlo, qhi));
-    covered_ns += qhi - qlo;
-    remaining_hi = qlo;
-  }
-  answer.coverage =
-      static_cast<double>(covered_ns) / static_cast<double>(t2 - t1);
-  return answer;
+void credit_checkpoint(core::FlowCounts& counts, const WindowSnapshot& snap,
+                       const core::TtsLayout& layout,
+                       const core::CoefficientTable& coeffs,
+                       bool salvage_stale_cells, Timestamp qlo, Timestamp qhi) {
+  const auto filtered = core::filter_stale_cells(
+      snap.state, layout, salvage_stale_cells, snap.taken_at);
+  core::merge_counts(counts,
+                     core::estimate_flow_counts(filtered, layout, coeffs, qlo,
+                                                qhi));
 }
 
 std::vector<core::OriginalCulprit> AnalysisProgram::query_queue_monitor(
@@ -260,30 +219,19 @@ MonitorAnswer AnalysisProgram::query_queue_monitor_detail(
     std::uint32_t port_prefix, Timestamp t) const {
   MonitorAnswer answer;
   const std::lock_guard<std::mutex> lk(history_mu_);
-  const MonitorSnapshot* best =
-      nearest_snapshot(monitor_snaps_.at(port_prefix), t);
-  if (best == nullptr) return answer;
-  answer.culprits = core::original_culprits(best->state);
+  const auto& snaps = monitor_snaps_.at(port_prefix);
+  const auto pick =
+      nearest_snapshot(SnapshotSpan<MonitorSnapshot>{snaps}, t);
+  if (!pick.has_value()) return answer;
+  const MonitorSnapshot& best = snaps[*pick];
+  answer.culprits = core::original_culprits(best.state);
   const Duration dist =
-      best->taken_at > t ? best->taken_at - t : t - best->taken_at;
+      best.taken_at > t ? best.taken_at - t : t - best.taken_at;
   answer.confidence = dist <= poll_period_
                           ? 1.0
                           : static_cast<double>(poll_period_) /
                                 static_cast<double>(dist);
   return answer;
-}
-
-const MonitorSnapshot* nearest_snapshot(
-    std::span<const MonitorSnapshot> snaps, Timestamp t) {
-  if (snaps.empty()) return nullptr;
-  const MonitorSnapshot* best = &snaps.front();
-  for (const auto& s : snaps) {
-    const auto dist = s.taken_at > t ? s.taken_at - t : t - s.taken_at;
-    const auto best_dist =
-        best->taken_at > t ? best->taken_at - t : t - best->taken_at;
-    if (dist < best_dist) best = &s;
-  }
-  return best;
 }
 
 const std::vector<DqCapture>& AnalysisProgram::dq_captures(

@@ -26,8 +26,11 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -91,22 +94,125 @@ struct MonitorAnswer {
   double confidence = 0.0;
 };
 
+/// Checkpoints in taking order, read through an accessor: `size()` and
+/// `taken_at(i)`. The walk and the pick select on these times alone.
+template <class C>
+concept CheckpointTimes = requires(const C& c, std::size_t i) {
+  { c.size() } -> std::convertible_to<std::size_t>;
+  { c.taken_at(i) } -> std::convertible_to<Timestamp>;
+};
+
+/// ...and `snapshot(i)`, the i-th window checkpoint itself, which the walk
+/// fetches only for a checkpoint that credits a piece. An archive accessor
+/// parses it from its block there (store/archive_reader.h).
+template <class C>
+concept WindowCheckpoints =
+    CheckpointTimes<C> && requires(const C& c, std::size_t i) {
+      { c.snapshot(i) } -> std::convertible_to<const WindowSnapshot&>;
+    };
+
+/// Snapshots held in memory (the live program, a records bundle) as an
+/// accessor.
+template <class Snapshot>
+struct SnapshotSpan {
+  std::span<const Snapshot> snaps;
+  std::size_t size() const { return snaps.size(); }
+  Timestamp taken_at(std::size_t i) const { return snaps[i].taken_at; }
+  const Snapshot& snapshot(std::size_t i) const { return snaps[i]; }
+};
+
+/// Adds the flow counts `snap` backs over [qlo, qhi): one piece of a walk.
+void credit_checkpoint(core::FlowCounts& counts, const WindowSnapshot& snap,
+                       const core::TtsLayout& layout,
+                       const core::CoefficientTable& coeffs,
+                       bool salvage_stale_cells, Timestamp qlo, Timestamp qhi);
+
 /// The checkpoint walk behind every time-window answer — live, offline,
 /// archive and recovered (ARCHITECTURE.md §3 step 1). Starts at the
-/// earliest snapshot taken at or after t2 (else the newest), then steps
-/// backwards; each snapshot contributes the piece of [t1, t2) inside
-/// [taken_at - t_set, taken_at) that no later snapshot already covered, so
-/// nothing is counted twice. `snaps` must be in taking order.
-IntervalAnswer walk_checkpoints(std::span<const WindowSnapshot> snaps,
-                                const core::TtsLayout& layout,
+/// earliest checkpoint taken at or after t2 (else the newest), then steps
+/// backwards; each checkpoint contributes the piece of [t1, t2) inside
+/// [taken_at - t_set, taken_at) that no later checkpoint already covered,
+/// so nothing is counted twice. It reads `taken_at` to select and fetches
+/// `snapshot(i)` once for each checkpoint that credits a piece, never for
+/// one it skips.
+template <WindowCheckpoints C>
+IntervalAnswer walk_checkpoints(const C& cps, const core::TtsLayout& layout,
                                 const core::CoefficientTable& coeffs,
                                 bool salvage_stale_cells, Timestamp t1,
-                                Timestamp t2);
+                                Timestamp t2) {
+  IntervalAnswer answer;
+  if (t2 <= t1) {
+    answer.coverage = 1.0;  // an empty span is trivially covered
+    return answer;
+  }
+  const std::size_t n = cps.size();
+  if (n == 0) return answer;
+  const Duration t_set = layout.set_period_ns();
 
-/// The snapshot taken closest to `t` (the earliest of equally close ones),
-/// or nullptr when there is none.
-const MonitorSnapshot* nearest_snapshot(
-    std::span<const MonitorSnapshot> snaps, Timestamp t);
+  // First checkpoint that still contains data up to t2 (taken at or after
+  // t2); fall back to the newest one.
+  std::size_t idx = n - 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cps.taken_at(i) >= t2) {
+      idx = i;
+      break;
+    }
+  }
+
+  // Walk backwards through checkpoints, each contributing the piece of the
+  // interval it covers most recently (no double counting). `covered_ns`
+  // sums the pieces a consistent checkpoint actually backs; the shortfall
+  // is history lost to slow polling, abandoned torn reads or retention.
+  Duration covered_ns = 0;
+  Timestamp remaining_hi = t2;
+  for (std::size_t i = idx + 1; i-- > 0 && remaining_hi > t1;) {
+    const Timestamp taken_at = cps.taken_at(i);
+    const Timestamp cover_lo = taken_at > t_set ? taken_at - t_set : 0;
+    const Timestamp qlo = std::max(t1, cover_lo);
+    const Timestamp qhi = std::min(remaining_hi, taken_at);
+    if (qhi <= qlo) {
+      if (taken_at <= t1) break;
+      continue;
+    }
+    credit_checkpoint(answer.counts, cps.snapshot(i), layout, coeffs,
+                      salvage_stale_cells, qlo, qhi);
+    covered_ns += qhi - qlo;
+    remaining_hi = qlo;
+  }
+  answer.coverage =
+      static_cast<double>(covered_ns) / static_cast<double>(t2 - t1);
+  return answer;
+}
+
+/// The walk over snapshots in taking order.
+inline IntervalAnswer walk_checkpoints(std::span<const WindowSnapshot> snaps,
+                                       const core::TtsLayout& layout,
+                                       const core::CoefficientTable& coeffs,
+                                       bool salvage_stale_cells, Timestamp t1,
+                                       Timestamp t2) {
+  return walk_checkpoints(SnapshotSpan<WindowSnapshot>{snaps}, layout, coeffs,
+                          salvage_stale_cells, t1, t2);
+}
+
+/// Position of the checkpoint taken closest to `t` (the earliest of
+/// equally close ones), or nullopt when there is none. Reads only
+/// `taken_at`: the caller fetches the one snapshot that wins.
+template <CheckpointTimes C>
+std::optional<std::size_t> nearest_snapshot(const C& cps, Timestamp t) {
+  const std::size_t n = cps.size();
+  if (n == 0) return std::nullopt;
+  const auto distance = [t](Timestamp at) { return at > t ? at - t : t - at; };
+  std::size_t best = 0;
+  Duration best_dist = distance(cps.taken_at(0));
+  for (std::size_t i = 1; i < n; ++i) {
+    const Duration dist = distance(cps.taken_at(i));
+    if (dist < best_dist) {
+      best = i;
+      best_dist = dist;
+    }
+  }
+  return best;
+}
 
 class AnalysisProgram final : public core::PipelineObserver {
  public:

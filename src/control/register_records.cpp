@@ -379,10 +379,11 @@ IntervalAnswer offline_query_time_windows(const RegisterRecords& records,
 
 std::vector<core::OriginalCulprit> offline_query_queue_monitor(
     const RegisterRecords& records, std::uint32_t port_prefix, Timestamp t) {
-  const MonitorSnapshot* best =
-      nearest_snapshot(records.monitor_snapshots.at(port_prefix), t);
-  if (best == nullptr) return {};
-  return core::original_culprits(best->state);
+  const auto& snaps = records.monitor_snapshots.at(port_prefix);
+  const auto pick =
+      nearest_snapshot(SnapshotSpan<MonitorSnapshot>{snaps}, t);
+  if (!pick.has_value()) return {};
+  return core::original_culprits(snaps[*pick].state);
 }
 
 }  // namespace pq::control

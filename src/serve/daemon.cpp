@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <thread>
@@ -94,7 +95,15 @@ Daemon::~Daemon() {
   if (query_server_) query_server_->stop();
   if (metrics_server_) metrics_server_->stop();
   supervisor_->drain_and_join();
-  if (archive_) archive_->close();
+  if (archive_) {
+    // A seal that fails throws; a destructor can only report it.
+    try {
+      archive_->close();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "pq_serve: cannot close archive %s: %s\n",
+                   cfg_.archive_dir.c_str(), e.what());
+    }
+  }
 }
 
 void Daemon::ingest_and_submit(std::span<const std::uint8_t> bytes) {

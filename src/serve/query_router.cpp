@@ -15,25 +15,27 @@ QueryRouter::QueryRouter(core::ShardedPipeline& pipeline,
   }
 }
 
+namespace {
+
+/// The newest taken_at over every partition of one checkpoint kind.
+Timestamp horizon(const std::vector<store::CheckpointIndex::Entries>& parts) {
+  Timestamp newest = 0;
+  for (const auto& entries : parts) {
+    for (const auto& e : entries) newest = std::max(newest, e.taken_at);
+  }
+  return newest;
+}
+
+}  // namespace
+
 void QueryRouter::load_recovered(
     const store::ArchiveReader& reader,
     const std::vector<std::uint32_t>& port_order) {
-  for (const auto& [prefix, unused] : reader.recovered()) {
+  for (const auto& [prefix, rec] : reader.recovered()) {
     const std::uint32_t port =
         prefix < port_order.size() ? port_order[prefix] : prefix;
-    Recovered rec;
-    rec.records = reader.to_records(prefix);
-    for (const auto& partition : rec.records.window_snapshots) {
-      for (const auto& snap : partition) {
-        rec.window_horizon = std::max(rec.window_horizon, snap.taken_at);
-      }
-    }
-    for (const auto& partition : rec.records.monitor_snapshots) {
-      for (const auto& snap : partition) {
-        rec.monitor_horizon = std::max(rec.monitor_horizon, snap.taken_at);
-      }
-    }
-    recovered_[port] = std::move(rec);
+    recovered_[port] = {rec, horizon(rec->index.windows),
+                        horizon(rec->index.monitors)};
   }
 }
 
@@ -82,14 +84,14 @@ std::vector<std::uint8_t> QueryRouter::handle(
       resp.type = req.type;
       resp.request_id = req.request_id;
       resp.confidence = 1.0;
+      const store::RecoveredPort& rec = *it->second.port;
       if (windows) {
-        auto answer = control::offline_query_time_windows(
-            it->second.records, 0, req.t1, req.t2);
+        auto answer =
+            store::query_time_windows_detail(rec, req.t1, req.t2);
         resp.counts = std::move(answer.counts);
         resp.confidence = answer.coverage;
       } else {
-        resp.culprits = control::offline_query_queue_monitor(
-            it->second.records, 0, req.t1);
+        resp.culprits = store::query_queue_monitor(rec, req.t1);
       }
       resp.status = control::status_for(resp.confidence);
       ++stats_.served_recovered;

@@ -4,24 +4,26 @@
 //
 // The routing rule is by time, not by freshness preference: a query whose
 // span lies entirely at or before the recovered horizon of its port (the
-// newest checkpoint that survived the crash) is answered offline from the
-// recovered RegisterRecords — byte-identical to pq_query against the same
-// archive. Anything later goes to the live shard's analysis program, which
-// answers from the checkpoints it has published under its own short-held
-// history lock (never the shard's absorb lock), with the calibration of its
-// newest checkpoint: a live answer at checkpoint horizon h equals the
-// archive's answer as of h. Both paths speak the same wire protocol as
-// control::QueryService, including the malformed and unknown-type
-// rejections, so existing clients (pq_ctl, QueryClient) work unchanged.
+// newest checkpoint that survived the crash) is answered from the recovered
+// port the archive reader shares with the router: planned over its
+// checkpoint index, parsing only the checkpoints the answer reads, and
+// byte-identical to pq_query against the same archive. Anything later goes
+// to the live shard's analysis program, which answers from the checkpoints
+// it has published under its own short-held history lock (never the
+// shard's absorb lock), with the calibration of its newest checkpoint: a
+// live answer at checkpoint horizon h equals the archive's answer as of h.
+// Both paths speak the same wire protocol as control::QueryService,
+// including the malformed and unknown-type rejections, so existing clients
+// (pq_ctl, QueryClient) work unchanged.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "control/query_service.h"
-#include "control/register_records.h"
 #include "control/sharded_analysis.h"
 #include "core/port_pipeline.h"
 #include "serve/supervisor.h"
@@ -44,12 +46,13 @@ class QueryRouter {
               control::ShardedAnalysis& analysis,
               ShardSupervisor* supervisor);
 
-  /// Captures the reader's recovered history (records + per-port horizon).
-  /// Archive directories are keyed by shard prefix (the pq::store
-  /// convention), so `port_order` maps prefix -> egress port — the daemon's
-  /// --ports list, which must match the run that wrote the archive. A
-  /// prefix beyond the list keeps its numeric identity. Call before ingest
-  /// starts; the reader itself need not outlive this.
+  /// Shares the reader's recovered ports (no copy, no parse) and takes
+  /// each one's horizons from its checkpoint index. Archive directories are
+  /// keyed by shard prefix (the pq::store convention), so `port_order` maps
+  /// prefix -> egress port — the daemon's --ports list, which must match
+  /// the run that wrote the archive. A prefix beyond the list keeps its
+  /// numeric identity. Call before ingest starts; the reader itself need
+  /// not outlive this.
   void load_recovered(const store::ArchiveReader& reader,
                       const std::vector<std::uint32_t>& port_order);
 
@@ -61,7 +64,7 @@ class QueryRouter {
 
  private:
   struct Recovered {
-    control::RegisterRecords records;
+    std::shared_ptr<const store::RecoveredPort> port;
     Timestamp window_horizon = 0;   ///< newest window checkpoint
     Timestamp monitor_horizon = 0;  ///< newest monitor checkpoint
   };

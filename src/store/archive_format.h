@@ -41,9 +41,10 @@ inline constexpr std::uint32_t kEndMagic = 0x50514531;      // "PQE1"
 /// seamlessly.
 inline constexpr std::uint16_t kFormatVersionV1 = 1;
 inline constexpr std::uint16_t kFormatVersionV2 = 2;
-/// Default sampling stride of the sparse time index (one sample every N
-/// blocks). Coarse enough to stay tiny, fine enough that an `--as-of` seek
-/// touches O(log n) samples + at most one stride of per-block checks.
+/// Sampling stride of the v2 footer's sparse time index (one sample every
+/// N blocks): a format the writer emits and the reader cross-checks.
+/// Queries plan over the reader's checkpoint index instead
+/// (archive_reader.h).
 inline constexpr std::uint32_t kSeekIndexStride = 32;
 
 /// What one block carries. Values are stable on-disk identifiers.
@@ -85,10 +86,9 @@ struct SegmentHeader {
 /// One sample of the sparse time index: at block ordinal `ordinal` (within
 /// the indexed span, in append order), the running max of t_hi over
 /// [0, ordinal] and the running min of t_hi over [ordinal, n). Both are
-/// monotone across samples, so an `--as-of T` query binary-searches them to
+/// monotone across samples, so a reader can binary-search them to
 /// bulk-include the prefix that is entirely <= T and bulk-exclude the
-/// suffix that is entirely > T; only the O(stride) blocks in between need a
-/// per-block comparison. Never assumes t_hi itself is sorted.
+/// suffix that is entirely > T, without assuming t_hi itself is sorted.
 struct TimeIndexSample {
   std::uint64_t ordinal = 0;
   std::uint64_t prefix_max_t_hi = 0;
@@ -96,8 +96,8 @@ struct TimeIndexSample {
 };
 
 /// Builds the sparse index over `entries` (samples at ordinals 0, stride,
-/// 2*stride, ...). Deterministic; shared by the writer's footer, the
-/// reader's in-memory per-port index and the footer cross-check.
+/// 2*stride, ...). Deterministic; shared by the writer's footer and the
+/// reader's footer cross-check.
 std::vector<TimeIndexSample> build_time_index(
     const std::vector<IndexEntry>& entries, std::uint32_t stride);
 

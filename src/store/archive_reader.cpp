@@ -6,6 +6,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "wire/bytes.h"
@@ -25,8 +26,42 @@ struct PortScanResult {
   bool keep = false;
 };
 
-PortScanResult scan_port(const std::string& dir, std::uint32_t port,
-                         std::uint32_t stride) {
+/// The checkpoint index over `blocks`, from block metadata and the
+/// leading u64 of each snapshot's logical payload (its taken_at). Only a
+/// calibration is parsed, to keep the ones whose layout is usable.
+CheckpointIndex index_checkpoints(const std::vector<RecoveredBlock>& blocks) {
+  CheckpointIndex index;
+  const auto add = [](std::vector<CheckpointIndex::Entries>& parts,
+                      const RecoveredBlock& b, std::uint64_t ordinal) {
+    if (b.partition >= parts.size()) parts.resize(std::size_t{b.partition} + 1);
+    wire::ByteReader r(b.payload);
+    parts[b.partition].push_back({b.t_hi, r.u64(), ordinal});
+  };
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const RecoveredBlock& b = blocks[i];
+    switch (b.kind) {
+      case BlockKind::kWindowSnapshot:
+        add(index.windows, b, i);
+        break;
+      case BlockKind::kMonitorSnapshot:
+        add(index.monitors, b, i);
+        break;
+      case BlockKind::kCalibration: {
+        wire::ByteReader r(b.payload);
+        control::CalibrationRecord cal;
+        if (control::get_calibration(r, cal)) {
+          index.calibrations.push_back({b.t_hi, cal.taken_at, i});
+        }
+        break;
+      }
+      case BlockKind::kDqCapture:
+        break;
+    }
+  }
+  return index;
+}
+
+PortScanResult scan_port(const std::string& dir, std::uint32_t port) {
   PortScanResult out;
   const auto unreachable =
       walk_segment_chain(dir, port, [&](ChainSegment& seg) {
@@ -45,7 +80,8 @@ PortScanResult scan_port(const std::string& dir, std::uint32_t port,
         info.blocks = seg.blocks.size();
         info.bytes = seg.valid_bytes;
         info.footer_ok = scan.footer_ok;
-        info.index_samples = build_time_index(scan.entries, stride).size();
+        info.index_samples =
+            build_time_index(scan.entries, kSeekIndexStride).size();
         if (!scan.entries.empty()) {
           info.t_lo_min = std::numeric_limits<std::uint64_t>::max();
           for (const auto& e : scan.entries) {
@@ -75,22 +111,76 @@ PortScanResult scan_port(const std::string& dir, std::uint32_t port,
   // A port reads as one once its first segment is clean or a block
   // survives.
   out.keep = out.stats.footer_hits > 0 || !out.rec.blocks.empty();
-  if (out.keep) {
-    for (const auto& b : out.rec.blocks) {
-      if (b.kind == BlockKind::kWindowSnapshot) {
-        out.rec.window_parts = std::max(out.rec.window_parts, b.partition + 1);
-      } else if (b.kind == BlockKind::kMonitorSnapshot) {
-        out.rec.monitor_parts =
-            std::max(out.rec.monitor_parts, b.partition + 1);
-      }
-    }
-    std::vector<IndexEntry> entries(out.rec.blocks.size());
-    for (std::size_t i = 0; i < out.rec.blocks.size(); ++i) {
-      entries[i].t_hi = out.rec.blocks[i].t_hi;
-    }
-    out.rec.seek_index = build_time_index(entries, stride);
-  }
+  if (out.keep) out.rec.index = index_checkpoints(out.rec.blocks);
   return out;
+}
+
+/// Blocks one planned query parsed, and index entries it read.
+struct QueryCost {
+  std::uint64_t decoded = 0;
+  std::uint64_t probes = 0;
+
+  void report(const RecoveredPort& rec, SeekStats* stats) const {
+    if (stats == nullptr) return;
+    ++stats->seeks;
+    stats->probes += probes;
+    stats->blocks_decoded += decoded;
+    stats->blocks_bypassed += rec.blocks.size() - decoded;
+  }
+};
+
+/// One partition's checkpoints as the archive stood at `as_of`, as the
+/// walk and the pick read them (control::WindowCheckpoints): times from
+/// the index, and each snapshot parsed from its block only when asked for.
+template <class Snapshot>
+class IndexedCheckpoints {
+ public:
+  IndexedCheckpoints(const RecoveredPort& rec,
+                     const CheckpointIndex::Entries& entries, Timestamp as_of,
+                     QueryCost& cost)
+      : rec_(rec), cost_(cost) {
+    cost_.probes += entries.size();
+    visible_.reserve(entries.size());
+    for (const CheckpointEntry& e : entries) {
+      if (e.t_hi <= as_of) visible_.push_back(&e);
+    }
+  }
+
+  std::size_t size() const { return visible_.size(); }
+  Timestamp taken_at(std::size_t i) const { return visible_[i]->taken_at; }
+  Snapshot snapshot(std::size_t i) const {
+    ++cost_.decoded;
+    wire::ByteReader r(rec_.blocks[visible_[i]->ordinal].payload);
+    if constexpr (std::is_same_v<Snapshot, control::WindowSnapshot>) {
+      return control::get_window_snapshot(r);
+    } else {
+      return control::get_monitor_snapshot(r);
+    }
+  }
+
+ private:
+  const RecoveredPort& rec_;
+  QueryCost& cost_;
+  std::vector<const CheckpointEntry*> visible_;
+};
+
+control::CalibrationRecord effective_calibration(const RecoveredPort& rec,
+                                                 Timestamp as_of,
+                                                 QueryCost& cost) {
+  const auto& cals = rec.index.calibrations;
+  for (auto it = cals.rbegin(); it != cals.rend(); ++it) {
+    ++cost.probes;
+    if (it->t_hi > as_of) continue;
+    ++cost.decoded;
+    wire::ByteReader r(rec.blocks[it->ordinal].payload);
+    control::CalibrationRecord cal;
+    control::get_calibration(r, cal);  // accepted when it was indexed
+    return cal;
+  }
+  control::CalibrationRecord cal;
+  cal.window_params = rec.header.window_params;
+  cal.monitor_levels = rec.header.monitor_levels;
+  return cal;
 }
 
 }  // namespace
@@ -100,7 +190,6 @@ ArchiveReader::ArchiveReader(const std::string& dir)
 
 ArchiveReader::ArchiveReader(const std::string& dir, ReaderOptions opts)
     : opts_(opts) {
-  if (opts_.seek_index_stride == 0) opts_.seek_index_stride = kSeekIndexStride;
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) {
     throw std::runtime_error("pq::store: not an archive directory: " + dir);
@@ -111,7 +200,7 @@ ArchiveReader::ArchiveReader(const std::string& dir, ReaderOptions opts)
       std::max(1u, opts_.threads), ports.size());
   if (workers <= 1) {
     for (std::size_t i = 0; i < ports.size(); ++i) {
-      results[i] = scan_port(dir, ports[i], opts_.seek_index_stride);
+      results[i] = scan_port(dir, ports[i]);
     }
   } else {
     // Whole-port work stealing: a port's chain is one job, so each result
@@ -119,7 +208,7 @@ ArchiveReader::ArchiveReader(const std::string& dir, ReaderOptions opts)
     std::atomic<std::size_t> next{0};
     const auto work = [&] {
       for (std::size_t i; (i = next.fetch_add(1)) < ports.size();) {
-        results[i] = scan_port(dir, ports[i], opts_.seek_index_stride);
+        results[i] = scan_port(dir, ports[i]);
       }
     };
     std::vector<std::thread> pool;
@@ -136,7 +225,10 @@ ArchiveReader::ArchiveReader(const std::string& dir, ReaderOptions opts)
     stats_.blocks_recovered += r.stats.blocks_recovered;
     stats_.bytes_truncated += r.stats.bytes_truncated;
     stats_.decode_errors += r.stats.decode_errors;
-    if (r.keep) ports_.emplace(ports[i], std::move(r.rec));
+    if (r.keep) {
+      ports_.emplace(ports[i],
+                     std::make_shared<const RecoveredPort>(std::move(r.rec)));
+    }
   }
 }
 
@@ -147,61 +239,58 @@ std::vector<std::uint32_t> ArchiveReader::ports() const {
   return out;
 }
 
-void ArchiveReader::seek_cut(const RecoveredPort& rec, Timestamp as_of,
-                             std::size_t& bulk_end, std::size_t& stop) const {
-  const auto& s = rec.seek_index;
-  ++seek_stats_.seeks;
-  // Last sample whose prefix max is <= as_of: everything up to its ordinal
-  // is included without a per-block test.
-  std::size_t lo = 0, hi = s.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    ++seek_stats_.probes;
-    if (s[mid].prefix_max_t_hi <= as_of) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+control::CalibrationRecord effective_calibration(const RecoveredPort& rec,
+                                                 Timestamp as_of) {
+  QueryCost cost;
+  return effective_calibration(rec, as_of, cost);
+}
+
+control::IntervalAnswer query_time_windows_detail(const RecoveredPort& rec,
+                                                  Timestamp t1, Timestamp t2,
+                                                  std::uint32_t partition,
+                                                  Timestamp as_of,
+                                                  SeekStats* stats) {
+  QueryCost cost;
+  const IndexedCheckpoints<control::WindowSnapshot> cps(
+      rec, rec.index.windows.at(partition), as_of, cost);
+  const control::CalibrationRecord cal =
+      effective_calibration(rec, as_of, cost);
+  const auto& p = cal.window_params;
+  auto answer = control::walk_checkpoints(
+      cps, core::TtsLayout(p),
+      core::CoefficientTable::compute(cal.z0, p.alpha, p.num_windows),
+      /*salvage_stale_cells=*/false, t1, t2);
+  cost.report(rec, stats);
+  return answer;
+}
+
+std::vector<core::OriginalCulprit> query_queue_monitor(
+    const RecoveredPort& rec, Timestamp t, std::uint32_t partition,
+    Timestamp as_of, SeekStats* stats) {
+  QueryCost cost;
+  const IndexedCheckpoints<control::MonitorSnapshot> cps(
+      rec, rec.index.monitors.at(partition), as_of, cost);
+  std::vector<core::OriginalCulprit> culprits;
+  if (const auto pick = control::nearest_snapshot(cps, t)) {
+    culprits = core::original_culprits(cps.snapshot(*pick).state);
   }
-  bulk_end = lo == 0 ? 0 : static_cast<std::size_t>(s[lo - 1].ordinal) + 1;
-  // First sample whose suffix min is > as_of: everything from its ordinal
-  // on is excluded without a per-block test.
-  lo = 0;
-  hi = s.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    ++seek_stats_.probes;
-    if (s[mid].suffix_min_t_hi > as_of) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  stop = lo == s.size() ? rec.blocks.size()
-                        : static_cast<std::size_t>(s[lo].ordinal);
-  if (bulk_end > stop) bulk_end = stop;
-  seek_stats_.blocks_bypassed += bulk_end + (rec.blocks.size() - stop);
+  cost.report(rec, stats);
+  return culprits;
 }
 
 control::RegisterRecords ArchiveReader::to_records(std::uint32_t port,
                                                    Timestamp as_of) const {
-  const RecoveredPort& rec = ports_.at(port);
+  const RecoveredPort& rec = *ports_.at(port);
   control::RegisterRecords records;
   records.window_params = rec.header.window_params;
   records.monitor_levels = rec.header.monitor_levels;
   records.z0 = 1.0;
-  records.window_snapshots.resize(rec.window_parts);
-  records.monitor_snapshots.resize(rec.monitor_parts);
+  records.window_snapshots.resize(rec.index.windows.size());
+  records.monitor_snapshots.resize(rec.index.monitors.size());
 
-  std::size_t bulk_end = 0;
-  std::size_t stop = rec.blocks.size();
-  if (opts_.use_seek_index && !rec.seek_index.empty()) {
-    seek_cut(rec, as_of, bulk_end, stop);
-  }
-
-  for (std::size_t i = 0; i < stop; ++i) {
-    const auto& b = rec.blocks[i];
-    if (i >= bulk_end && b.t_hi > as_of) continue;
+  for (const auto& b : rec.blocks) {
+    if (b.t_hi > as_of || b.kind == BlockKind::kDqCapture) continue;
+    ++seek_stats_.blocks_decoded;
     wire::ByteReader r(b.payload);
     switch (b.kind) {
       case BlockKind::kWindowSnapshot:
@@ -230,26 +319,32 @@ control::RegisterRecords ArchiveReader::to_records(std::uint32_t port,
   return records;
 }
 
-core::FlowCounts ArchiveReader::query_time_windows(std::uint32_t port,
-                                                   Timestamp t1, Timestamp t2,
-                                                   std::uint32_t partition,
-                                                   Timestamp as_of) const {
-  return control::offline_query_time_windows(to_records(port, as_of),
-                                             partition, t1, t2)
-      .counts;
+control::IntervalAnswer ArchiveReader::query_time_windows_detail(
+    std::uint32_t port, Timestamp t1, Timestamp t2, std::uint32_t partition,
+    Timestamp as_of) const {
+  if (!opts_.use_seek_index) {
+    return control::offline_query_time_windows(to_records(port, as_of),
+                                               partition, t1, t2);
+  }
+  return store::query_time_windows_detail(*ports_.at(port), t1, t2, partition,
+                                          as_of, &seek_stats_);
 }
 
 std::vector<core::OriginalCulprit> ArchiveReader::query_queue_monitor(
     std::uint32_t port, Timestamp t, std::uint32_t partition,
     Timestamp as_of) const {
-  return control::offline_query_queue_monitor(to_records(port, as_of),
-                                              partition, t);
+  if (!opts_.use_seek_index) {
+    return control::offline_query_queue_monitor(to_records(port, as_of),
+                                                partition, t);
+  }
+  return store::query_queue_monitor(*ports_.at(port), t, partition, as_of,
+                                    &seek_stats_);
 }
 
 std::vector<control::DqCapture> ArchiveReader::dq_captures(
     std::uint32_t port) const {
   std::vector<control::DqCapture> out;
-  for (const auto& b : ports_.at(port).blocks) {
+  for (const auto& b : ports_.at(port)->blocks) {
     if (b.kind != BlockKind::kDqCapture) continue;
     wire::ByteReader r(b.payload);
     out.push_back(control::get_dq_capture(r));
@@ -262,8 +357,8 @@ std::vector<std::uint8_t> ArchiveReader::logical_content() const {
   wire::put_u32(buf, static_cast<std::uint32_t>(ports_.size()));
   for (const auto& [port, rec] : ports_) {
     wire::put_u32(buf, port);
-    wire::put_u64(buf, rec.blocks.size());
-    for (const auto& b : rec.blocks) {
+    wire::put_u64(buf, rec->blocks.size());
+    for (const auto& b : rec->blocks) {
       wire::put_u8(buf, static_cast<std::uint8_t>(b.kind));
       wire::put_u32(buf, b.partition);
       wire::put_u64(buf, b.t_lo);

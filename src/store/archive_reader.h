@@ -10,25 +10,30 @@
 // walk, so RecoveredBlock::payload — and everything downstream of it:
 // logical_content(), the pq_query `blocks` listing, the pq_offline
 // byte-match contract — is independent of the on-disk format. The walk
-// parses every window, monitor and calibration payload it keeps, so
-// to_records() never meets one that does not parse; DQ captures are parsed
-// only by dq_captures(). A CRC-valid block that fails to decode surfaces as
-// a typed per-port error and ends that port's prefix, exactly like
-// physical damage.
+// parses every window, monitor and calibration payload it keeps, so no
+// query ever meets one that does not parse; DQ captures are parsed only by
+// dq_captures(). A CRC-valid block that fails to decode surfaces as a
+// typed per-port error and ends that port's prefix, exactly like physical
+// damage.
 //
 // Ports can be scanned in parallel (ReaderOptions::threads): each worker
 // owns whole port chains and the results are merged in ascending port
-// order, so the outcome is byte-identical to the sequential scan. Queries
-// then run through the same offline execution path as a one-shot records
-// bundle (control/register_records.h); `--as-of` seeks use the sparse time
-// index (O(log n) probes + one stride of per-block checks) unless
-// ReaderOptions::use_seek_index forces the linear path — both paths select
-// exactly the blocks with t_hi <= as_of.
+// order, so the outcome is byte-identical to the sequential scan. The scan
+// also fills each port's checkpoint index (CheckpointIndex) from block
+// metadata. A query plans over that index — the as-of filter on t_hi, the
+// checkpoint walk and the nearest-snapshot pick on taken_at — and parses
+// only the blocks its answer reads: the window checkpoints the walk
+// credits, the one monitor snapshot the pick chooses, the newest usable
+// calibration at or before `as_of`. Its cost follows the interval asked,
+// not the length of the archive. ReaderOptions::use_seek_index = false
+// answers instead over to_records(), every block up to `as_of` parsed: the
+// full-materialization oracle the indexed answers must byte-match.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,6 +64,29 @@ struct DecodeErrorInfo {
   std::uint64_t block_ordinal = 0;  ///< index into RecoveredPort::blocks
 };
 
+/// One checkpoint of a port's index: the block's t_hi (the as-of filter),
+/// the record's own taken_at (the leading u64 of its logical payload, which
+/// the walk and the pick read) and where its block sits. Neither time is
+/// assumed sorted: a resumed writer can append earlier times, and idle
+/// catch-up polls repeat one.
+struct CheckpointEntry {
+  std::uint64_t t_hi = 0;
+  Timestamp taken_at = 0;
+  std::uint64_t ordinal = 0;  ///< index into RecoveredPort::blocks
+};
+
+/// A port's window and monitor checkpoints per partition, and its usable
+/// calibrations (those control::get_calibration accepts), each in append
+/// order. There is at least one partition of each kind; a partition at or
+/// past the end was never written, and asking for it throws
+/// std::out_of_range.
+struct CheckpointIndex {
+  using Entries = std::vector<CheckpointEntry>;
+  std::vector<Entries> windows = std::vector<Entries>(1);   ///< [partition]
+  std::vector<Entries> monitors = std::vector<Entries>(1);  ///< [partition]
+  Entries calibrations;
+};
+
 /// One port's surviving stream: the first segment's header (the register
 /// layout of last resort) plus every recovered block. With retention the
 /// chain may start above segment index 0; `header.segment_index` and
@@ -69,31 +97,48 @@ struct RecoveredPort {
   std::vector<RecoveredBlock> blocks;
   std::vector<SegmentInfo> segments;
   DecodeErrorInfo decode_error;
-  /// Partition counts over ALL recovered blocks (as_of-independent, so
-  /// to_records never needs the full-stream pass the seek index bypasses).
-  std::uint32_t window_parts = 1;
-  std::uint32_t monitor_parts = 1;
-  /// Port-wide sparse time index over `blocks` (archive_format.h).
-  std::vector<TimeIndexSample> seek_index;
+  CheckpointIndex index;
 };
 
 struct ReaderOptions {
   /// Worker threads for the recovery scan; each worker scans whole port
   /// chains. 0 or 1 = sequential. The result is byte-identical either way.
   unsigned threads = 1;
-  /// When false, `--as-of` queries linearly test every block instead of
-  /// cutting with the sparse time index (the differential-test oracle).
+  /// When false, queries parse every block up to `as_of` into a records
+  /// bundle (to_records) and answer over it instead of planning over the
+  /// checkpoint index: the differential-test oracle.
   bool use_seek_index = true;
-  /// Sampling stride for the in-memory per-port index (0 = default).
-  std::uint32_t seek_index_stride = kSeekIndexStride;
 };
 
-/// Seek-path counters (per reader, across queries).
+/// Query-side counters (per reader, across queries).
 struct SeekStats {
-  std::uint64_t seeks = 0;            ///< indexed as-of cuts performed
-  std::uint64_t probes = 0;           ///< binary-search sample comparisons
-  std::uint64_t blocks_bypassed = 0;  ///< blocks never tested per-block
+  std::uint64_t seeks = 0;   ///< queries planned over the checkpoint index
+  std::uint64_t probes = 0;  ///< index entries those plans read
+  std::uint64_t blocks_bypassed = 0;  ///< port blocks a plan did not parse
+  std::uint64_t blocks_decoded = 0;   ///< blocks parsed to answer queries
 };
+
+/// Layout and z0 a port's answers as of `as_of` use: the newest usable
+/// calibration with t_hi <= as_of (newest in append order, matching the
+/// live program), else the first segment header's layout and z0 = 1.0 —
+/// the torn tail can cost calibration freshness, never correctness.
+control::CalibrationRecord effective_calibration(
+    const RecoveredPort& rec,
+    Timestamp as_of = std::numeric_limits<Timestamp>::max());
+
+/// The retroactive queries over one recovered port, planned over its
+/// checkpoint index: same answers (counts, bitwise coverage, culprits) as
+/// control::offline_query_* over the port's to_records(as_of) bundle.
+/// Safe to call concurrently on a shared port when `stats` is null.
+control::IntervalAnswer query_time_windows_detail(
+    const RecoveredPort& rec, Timestamp t1, Timestamp t2,
+    std::uint32_t partition = 0,
+    Timestamp as_of = std::numeric_limits<Timestamp>::max(),
+    SeekStats* stats = nullptr);
+std::vector<core::OriginalCulprit> query_queue_monitor(
+    const RecoveredPort& rec, Timestamp t, std::uint32_t partition = 0,
+    Timestamp as_of = std::numeric_limits<Timestamp>::max(),
+    SeekStats* stats = nullptr);
 
 class ArchiveReader {
  public:
@@ -108,19 +153,22 @@ class ArchiveReader {
   bool has_port(std::uint32_t port) const {
     return ports_.find(port) != ports_.end();
   }
-  const std::map<std::uint32_t, RecoveredPort>& recovered() const {
+  /// The recovered ports. Each is immutable and shared, so a holder (the
+  /// pq_serve query router) can keep answering from it after the reader is
+  /// gone.
+  const std::map<std::uint32_t, std::shared_ptr<const RecoveredPort>>&
+  recovered() const {
     return ports_;
   }
 
-  /// Rebuilds a RegisterRecords bundle from the port's surviving blocks:
-  /// snapshots in append order, layout and z0 from the newest recovered
-  /// calibration (falling back to the segment header and z0 = 1.0 — the
-  /// torn tail can cost calibration freshness, never correctness).
-  /// `as_of` restricts the bundle to blocks with t_hi <= as_of: "answer as
-  /// the archive stood at time T". Because later calibrations rescale
-  /// earlier spans (newest-wins, matching the live program), bounding BOTH
-  /// of two archives to a common horizon is what makes their answers
-  /// comparable — the kill-and-recover proof relies on this.
+  /// Rebuilds a RegisterRecords bundle from the port's surviving blocks,
+  /// parsing every one: snapshots in append order, layout and z0 from
+  /// effective_calibration(). `as_of` restricts the bundle to blocks with
+  /// t_hi <= as_of: "answer as the archive stood at time T". Because later
+  /// calibrations rescale earlier spans (newest-wins, matching the live
+  /// program), bounding BOTH of two archives to a common horizon is what
+  /// makes their answers comparable — the kill-and-recover proof relies on
+  /// this.
   control::RegisterRecords to_records(
       std::uint32_t port,
       Timestamp as_of = std::numeric_limits<Timestamp>::max()) const;
@@ -128,10 +176,16 @@ class ArchiveReader {
   /// The retroactive queries, same semantics (and bytes) as pq_offline
   /// against the reconstructed records. `partition` is the shard-local
   /// window/monitor partition (0 unless multi-queue).
-  core::FlowCounts query_time_windows(
+  control::IntervalAnswer query_time_windows_detail(
       std::uint32_t port, Timestamp t1, Timestamp t2,
       std::uint32_t partition = 0,
       Timestamp as_of = std::numeric_limits<Timestamp>::max()) const;
+  core::FlowCounts query_time_windows(
+      std::uint32_t port, Timestamp t1, Timestamp t2,
+      std::uint32_t partition = 0,
+      Timestamp as_of = std::numeric_limits<Timestamp>::max()) const {
+    return query_time_windows_detail(port, t1, t2, partition, as_of).counts;
+  }
   std::vector<core::OriginalCulprit> query_queue_monitor(
       std::uint32_t port, Timestamp t, std::uint32_t partition = 0,
       Timestamp as_of = std::numeric_limits<Timestamp>::max()) const;
@@ -153,13 +207,8 @@ class ArchiveReader {
   const SeekStats& seek_stats() const { return seek_stats_; }
 
  private:
-  /// Computes [bulk_end, stop): blocks [0, bulk_end) are all <= as_of,
-  /// blocks [stop, n) are all > as_of, the middle needs per-block checks.
-  void seek_cut(const RecoveredPort& rec, Timestamp as_of,
-                std::size_t& bulk_end, std::size_t& stop) const;
-
   ReaderOptions opts_;
-  std::map<std::uint32_t, RecoveredPort> ports_;
+  std::map<std::uint32_t, std::shared_ptr<const RecoveredPort>> ports_;
   ReaderStats stats_;
   mutable SeekStats seek_stats_;
 };

@@ -4,10 +4,10 @@
 # no longer written, so this fixture is the only v1 writer output) and a
 # fresh v2-only archive must both answer the culprit queries
 # byte-identically to pq_offline over records rebuilt from the same trace
-# with the same parameters. On top of that: the indexed `--as-of` seek must
-# byte-match the forced full scan, look-alike names must not change what
-# the archive holds, and `--strict` must still exit 3 when a v2 tail is
-# torn. Step 0 pins the bytes the v2 writer emits (segment headers; window,
+# with the same parameters. On top of that: indexed `--as-of` answers must
+# byte-match the full-materialization oracle (`--full-scan`), look-alike
+# names must not change what the archive holds, and `--strict` must still
+# exit 3 when a v2 tail is torn. Step 0 pins the bytes the v2 writer emits (segment headers; window,
 # monitor and calibration blocks; footers with the sparse time index). The
 # mixed chain a resumed writer makes of a v1 archive is covered by
 # tests/store/archive_seek_test.cpp.
@@ -85,12 +85,24 @@ ask "$WORK/v2" "$WORK/v2.txt"
 diff -u "$WORK/want.txt" "$WORK/v2.txt" \
   || { echo "v2 archive answers diverged" >&2; exit 1; }
 
-# 3. The indexed --as-of seek byte-matches the forced full scan, on both
-#    chains and at horizons on and off block boundaries.
+seek() { # seek <archive-dir> <as-of> <out-file> [extra pq_query args...]
+  local dir="$1" t="$2" out="$3"; shift 3
+  ask "$dir" "$out" --as-of "$t" "$@"
+  # A span ending past the horizon, and one before the first checkpoint
+  # (taken at 1376474).
+  "$TOOLS_DIR/pq_query" "$dir" windows 0 "$((t > 500000 ? t - 500000 : 0))" \
+    "$((t + 500000))" --top 5 --as-of "$t" "$@" | sed 1d >> "$out"
+  "$TOOLS_DIR/pq_query" "$dir" windows 0 0 100000 --top 5 --as-of "$t" "$@" \
+    | sed 1d >> "$out"
+}
+
+# 3. The indexed --as-of answers byte-match the full-materialization oracle
+#    (--full-scan), on both chains and at horizons on and off block
+#    boundaries.
 for dir in "$FIXTURE" "$WORK/v2"; do
   for t in 100 1376474 2500000 3757067 99999999; do
-    ask "$dir" "$WORK/seek_a.txt" --as-of "$t"
-    ask "$dir" "$WORK/seek_b.txt" --as-of "$t" --full-scan
+    seek "$dir" "$t" "$WORK/seek_a.txt"
+    seek "$dir" "$t" "$WORK/seek_b.txt" --full-scan
     diff -u "$WORK/seek_a.txt" "$WORK/seek_b.txt" \
       || { echo "indexed seek diverged from full scan ($dir, t=$t)" >&2; exit 1; }
   done

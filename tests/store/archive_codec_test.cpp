@@ -214,7 +214,7 @@ std::vector<std::uint8_t> encoding_tags(const std::string& dir,
                                         const store::ArchiveReader& r,
                                         std::uint32_t port) {
   std::vector<std::uint8_t> tags;
-  for (const auto& seg : r.recovered().at(port).segments) {
+  for (const auto& seg : r.recovered().at(port)->segments) {
     const auto bytes =
         harness::read_bytes(store::segment_path(dir, port, seg.index));
     const auto scan = store::scan_segment_bytes(bytes, port);
@@ -254,7 +254,7 @@ TEST(ArchiveCodec, RandomRecordStreamsReadBackAsTheirRecordBytes) {
       const store::ArchiveReader r(dir.path());
       EXPECT_EQ(r.stats().recoveries, 0u);
       EXPECT_EQ(r.stats().decode_errors, 0u);
-      const auto& blocks = r.recovered().at(0).blocks;
+      const auto& blocks = r.recovered().at(0)->blocks;
       ASSERT_EQ(blocks.size(), feed.expected.size());
       for (std::size_t i = 0; i < blocks.size(); ++i) {
         EXPECT_EQ(blocks[i].kind, feed.expected[i].kind) << "block " << i;
@@ -333,7 +333,7 @@ void expect_prefix_ends_at(
   harness::reseal_block(store::segment_path(dir.path(), 0, 0), 0, v.ordinal,
                         edit);
   const store::ArchiveReader r(dir.path());
-  const auto& rec = r.recovered().at(0);
+  const auto& rec = *r.recovered().at(0);
   EXPECT_EQ(rec.decode_error.status, want);
   EXPECT_EQ(rec.decode_error.segment_index, 0u);
   EXPECT_EQ(rec.decode_error.block_ordinal, v.ordinal);

@@ -128,15 +128,17 @@ void expect_resume_repairs_in_place(const std::string& dir,
 /// the recovered ports/blocks must appear in `full` in the same order with
 /// identical LOGICAL bytes, with nothing extra. RecoveredBlock::payload is
 /// format-independent, so this also proves v2 decoding fabricates nothing.
-bool blocks_are_prefix(const std::map<std::uint32_t, store::RecoveredPort>& a,
-                       const std::map<std::uint32_t, store::RecoveredPort>& b) {
+using RecoveredPorts =
+    std::map<std::uint32_t, std::shared_ptr<const store::RecoveredPort>>;
+
+bool blocks_are_prefix(const RecoveredPorts& a, const RecoveredPorts& b) {
   for (const auto& [port, rec] : a) {
     const auto it = b.find(port);
     if (it == b.end()) return false;
-    if (rec.blocks.size() > it->second.blocks.size()) return false;
-    for (std::size_t i = 0; i < rec.blocks.size(); ++i) {
-      const auto& x = rec.blocks[i];
-      const auto& y = it->second.blocks[i];
+    if (rec->blocks.size() > it->second->blocks.size()) return false;
+    for (std::size_t i = 0; i < rec->blocks.size(); ++i) {
+      const auto& x = rec->blocks[i];
+      const auto& y = it->second->blocks[i];
       if (x.kind != y.kind || x.partition != y.partition ||
           x.t_lo != y.t_lo || x.t_hi != y.t_hi || x.payload != y.payload) {
         return false;
@@ -174,7 +176,7 @@ TEST_P(ArchiveRecoveryProperty, TruncationAlwaysRecoversAValidPrefix) {
   ASSERT_EQ(intact.stats().recoveries, 0u);
   const std::uint64_t total_blocks = intact.stats().blocks_recovered;
   ASSERT_GT(total_blocks, 50u);
-  for (const auto& seg : intact.recovered().at(0).segments) {
+  for (const auto& seg : intact.recovered().at(0)->segments) {
     ASSERT_EQ(seg.version, format());
   }
   const auto files = segment_files(intact_dir.path());
@@ -251,7 +253,7 @@ TEST_P(ArchiveRecoveryProperty, TornWriteInjectorDiesIntoARecoverablePrefix) {
   const TempDir intact_dir;
   write_intact_archive(intact_dir.path(), format());
   store::ArchiveReader intact(intact_dir.path());
-  const auto& intact_blocks = intact.recovered().at(0).blocks;
+  const auto& intact_blocks = intact.recovered().at(0)->blocks;
 
   // High tear probability: the writer dies somewhere early in every trial.
   faults::FaultLog log;
@@ -279,7 +281,7 @@ TEST_P(ArchiveRecoveryProperty, TornWriteInjectorDiesIntoARecoverablePrefix) {
     // of H, one tick before the earliest t_hi among the blocks the tear
     // lost: every intact block with t_hi <= H is in the prefix, so both
     // readers bounded to H see the same blocks.
-    const std::size_t kept = r.recovered().at(0).blocks.size();
+    const std::size_t kept = r.recovered().at(0)->blocks.size();
     ASSERT_LT(kept, intact_blocks.size()) << "trial " << trial;
     Timestamp horizon = std::numeric_limits<Timestamp>::max();
     for (std::size_t i = kept; i < intact_blocks.size(); ++i) {

@@ -233,7 +233,7 @@ TEST(ArchiveStore, V2SegmentsRollWithPerSegmentKeyframes) {
   EXPECT_EQ(r.stats().blocks_recovered, appended);
   EXPECT_EQ(r.to_records(1).window_snapshots[0].size(), 40u);
   // Every segment advertises the v2 format and a sparse time index.
-  for (const auto& seg : r.recovered().at(1).segments) {
+  for (const auto& seg : r.recovered().at(1)->segments) {
     EXPECT_EQ(seg.version, store::kFormatVersionV2);
     EXPECT_TRUE(seg.footer_ok);
     EXPECT_GE(seg.index_samples, 1u);

@@ -45,7 +45,8 @@ inline void write_bytes(const std::string& path,
 inline void rewrite_as_v1(const std::string& dir,
                           faults::TornWriteInjector* write_faults = nullptr) {
   const store::ArchiveReader reader(dir);
-  for (const auto& [port, rec] : reader.recovered()) {
+  for (const auto& [port, port_rec] : reader.recovered()) {
+    const store::RecoveredPort& rec = *port_rec;
     std::size_t next_block = 0;
     bool dead = false;
     for (const auto& seg : rec.segments) {

@@ -89,10 +89,10 @@ struct ScanReport {
   explicit ScanReport(const store::ArchiveReader& r)
       : content(r.logical_content()), stats(r.stats()) {
     for (const auto& [port, rec] : r.recovered()) {
-      if (rec.decode_error.status != store::BlockDecodeStatus::kOk) {
+      if (rec->decode_error.status != store::BlockDecodeStatus::kOk) {
         decode_errors.emplace_back(
-            port, static_cast<std::uint8_t>(rec.decode_error.status),
-            rec.decode_error.segment_index, rec.decode_error.block_ordinal);
+            port, static_cast<std::uint8_t>(rec->decode_error.status),
+            rec->decode_error.segment_index, rec->decode_error.block_ordinal);
       }
     }
   }
@@ -165,7 +165,7 @@ TEST(ParallelRecovery, TypedDecodeErrorsReportIdenticallyAtEveryWidth) {
   // The poisoned port kept exactly the one block before the bad frame.
   store::ArchiveReader r(dir.path());
   ASSERT_TRUE(r.has_port(1));
-  EXPECT_EQ(r.recovered().at(1).blocks.size(), 1u);
+  EXPECT_EQ(r.recovered().at(1)->blocks.size(), 1u);
 }
 
 }  // namespace

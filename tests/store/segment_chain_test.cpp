@@ -84,13 +84,15 @@ store::WriterStats append_snapshots(const store::ArchiveOptions& opts,
 
 std::vector<std::uint32_t> segment_indices(const store::ArchiveReader& r) {
   std::vector<std::uint32_t> out;
-  for (const auto& seg : r.recovered().at(0).segments) out.push_back(seg.index);
+  for (const auto& seg : r.recovered().at(0)->segments) {
+    out.push_back(seg.index);
+  }
   return out;
 }
 
 std::vector<Timestamp> window_times(const store::ArchiveReader& r) {
   std::vector<Timestamp> out;
-  for (const auto& b : r.recovered().at(0).blocks) {
+  for (const auto& b : r.recovered().at(0)->blocks) {
     if (b.kind == store::BlockKind::kWindowSnapshot) out.push_back(b.t_hi);
   }
   return out;
@@ -211,8 +213,8 @@ TEST(SegmentChain, ResumeEndsTheChainAtAnUndecodableBlock) {
   harness::poison_encoding_tag(store::segment_path(dir.path(), 0, 0), 0, 1);
   {
     const store::ArchiveReader r(dir.path());
-    ASSERT_EQ(r.recovered().at(0).blocks.size(), 1u);
-    ASSERT_EQ(r.recovered().at(0).decode_error.status,
+    ASSERT_EQ(r.recovered().at(0)->blocks.size(), 1u);
+    ASSERT_EQ(r.recovered().at(0)->decode_error.status,
               store::BlockDecodeStatus::kBadEncodingTag);
   }
 
@@ -264,7 +266,7 @@ TEST(SegmentChain, ResumeEndsTheChainAtAnUnparseableRawRecord) {
       append_snapshots(opts, 0, 12, /*monitors=*/true);
       if (format == store::kFormatVersionV1) harness::rewrite_as_v1(dir.path());
       const store::ArchiveReader clean(dir.path());
-      ASSERT_GE(clean.recovered().at(0).segments.size(), 3u);
+      ASSERT_GE(clean.recovered().at(0)->segments.size(), 3u);
 
       // The victim: the first block of its kind in segment 1, a keyframe.
       const std::string seg1 = store::segment_path(dir.path(), 0, 1);
@@ -287,9 +289,9 @@ TEST(SegmentChain, ResumeEndsTheChainAtAnUnparseableRawRecord) {
           });
 
       const std::size_t kept =
-          clean.recovered().at(0).segments[0].blocks + ordinal;
+          clean.recovered().at(0)->segments[0].blocks + ordinal;
       const store::ArchiveReader damaged(dir.path());
-      const auto& rec = damaged.recovered().at(0);
+      const auto& rec = *damaged.recovered().at(0);
       EXPECT_EQ(rec.decode_error.status,
                 store::BlockDecodeStatus::kMalformedRecord);
       EXPECT_EQ(rec.decode_error.segment_index, 1u);
@@ -298,7 +300,7 @@ TEST(SegmentChain, ResumeEndsTheChainAtAnUnparseableRawRecord) {
       ASSERT_EQ(rec.blocks.size(), kept);
       for (std::size_t i = 0; i < kept; ++i) {
         EXPECT_TRUE(rec.blocks[i].payload ==
-                    clean.recovered().at(0).blocks[i].payload);
+                    clean.recovered().at(0)->blocks[i].payload);
       }
 
       // Resume repairs the archive to exactly that prefix.

@@ -12,9 +12,12 @@
 //
 // `--threads N` recovers port chains on N workers; the recovered state is
 // byte-identical to the sequential scan (whole-port jobs, merged in port
-// order). `--full-scan` disables the sparse time index for `--as-of`
-// queries, forcing the per-block linear cut — the differential-test oracle
-// for the indexed seek path.
+// order). A query plans over each port's checkpoint index and parses only
+// the blocks its answer reads; `--full-scan` instead parses every block up
+// to the horizon into a records bundle and answers over that — the
+// full-materialization oracle the indexed answers must byte-match. `info`
+// reads its layout, checkpoint count and z0 from the index and the newest
+// usable calibration.
 //
 // `--as-of T` answers from only the blocks with t_hi <= T — the archive as
 // it stood at time T. Calibration is newest-wins, so a later checkpoint
@@ -23,8 +26,9 @@
 // survivor against its uninterrupted oracle.
 //
 // The windows/monitor output bodies are byte-identical to pq_offline over
-// the same span (both run control::offline_query_* and print through
-// control/answer_printer.h); only the first header line differs.
+// the same span (both run control's checkpoint walk and nearest-snapshot
+// pick and print through control/answer_printer.h); only the first header
+// line differs.
 // tests/golden_archive_test.sh relies on that.
 //
 // `blocks` prints one canonical line per recovered block (kind, partition,
@@ -123,17 +127,14 @@ int main(int argc, char** argv) try {
                   static_cast<unsigned long long>(stats.decode_errors));
     }
     for (const auto port : reader->ports()) {
-      const auto& rec = reader->recovered().at(port);
-      const auto records = reader->to_records(port);
+      const store::RecoveredPort& rec = *reader->recovered().at(port);
+      const auto cal = store::effective_calibration(rec);
       std::printf("  port %u: %zu block(s), m0=%u alpha=%u k=%u T=%u, "
                   "%zu checkpoint(s), %zu capture(s), z0=%.3f\n",
-                  port, rec.blocks.size(), records.window_params.m0,
-                  records.window_params.alpha, records.window_params.k,
-                  records.window_params.num_windows,
-                  records.window_snapshots.empty()
-                      ? std::size_t{0}
-                      : records.window_snapshots[0].size(),
-                  reader->dq_captures(port).size(), records.z0);
+                  port, rec.blocks.size(), cal.window_params.m0,
+                  cal.window_params.alpha, cal.window_params.k,
+                  cal.window_params.num_windows, rec.index.windows[0].size(),
+                  reader->dq_captures(port).size(), cal.z0);
       for (const auto& seg : rec.segments) {
         std::printf("    seg %06u v%u: %llu block(s), %llu byte(s), "
                     "span [%llu, %llu], %llu index sample(s), %s\n",
@@ -171,8 +172,7 @@ int main(int argc, char** argv) try {
     // One line per recovered block, in append order. The payload CRC makes
     // each line a content fingerprint: `head -n K | diff` proves one
     // archive's surviving stream is a prefix of another's.
-    const auto& rec = reader->recovered().at(port);
-    for (const auto& b : rec.blocks) {
+    for (const auto& b : reader->recovered().at(port)->blocks) {
       std::printf("block kind=%u part=%u t_lo=%llu t_hi=%llu len=%zu "
                   "crc=%08x\n",
                   static_cast<unsigned>(b.kind), b.partition,

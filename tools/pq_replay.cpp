@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <optional>
 #include <string>
 #include <thread>
@@ -179,17 +180,25 @@ int main(int argc, char** argv) {
       threads, static_cast<unsigned>(pipeline.num_shards()));
   std::vector<int> worker_cpus(workers, -1);
   std::atomic<std::uint32_t> next{0};
+  // A store error (an append or a segment seal that fails) is thrown on the
+  // shard's own thread: each worker keeps its own, the others run to the
+  // end, and the first one is reported once all are joined.
+  std::vector<std::exception_ptr> worker_errors(workers);
   auto replay_shards = [&](unsigned worker_index) {
     if (pin_threads) {
       worker_cpus[worker_index] = pin_current_thread(worker_index);
     }
-    sim::PacketBatch scratch;
-    for (std::uint32_t s = next.fetch_add(1); s < pipeline.num_shards();
-         s = next.fetch_add(1)) {
-      serve::replay_records(shard_records[s], pipeline.shard(s), batch,
-                            scratch);
-      analysis.program(s).finalize(
-          shard_records[s].back().deq_timestamp() + 1);
+    try {
+      sim::PacketBatch scratch;
+      for (std::uint32_t s = next.fetch_add(1); s < pipeline.num_shards();
+           s = next.fetch_add(1)) {
+        serve::replay_records(shard_records[s], pipeline.shard(s), batch,
+                              scratch);
+        analysis.program(s).finalize(
+            shard_records[s].back().deq_timestamp() + 1);
+      }
+    } catch (...) {
+      worker_errors[worker_index] = std::current_exception();
     }
   };
   if (workers == 1) {
@@ -200,6 +209,15 @@ int main(int argc, char** argv) {
       pool.emplace_back(replay_shards, t);
     }
     for (auto& t : pool) t.join();
+  }
+  for (const auto& error : worker_errors) {
+    if (!error) continue;
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "pq_replay: %s\n", e.what());
+    }
+    return 1;
   }
 
   if (archive) {
