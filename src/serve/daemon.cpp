@@ -1,9 +1,8 @@
 #include "serve/daemon.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 
@@ -30,22 +29,6 @@ Daemon::Daemon(DaemonConfig cfg)
     throw std::runtime_error("pq_serve: no ports configured");
   }
 
-  // Recovery scan FIRST: the reader's trust-nothing pass must see the
-  // directory exactly as the crash left it, before any writer (below)
-  // repairs tails or rolls segments.
-  std::optional<store::ArchiveReader> reader;
-  if (!cfg_.archive_dir.empty() &&
-      std::filesystem::is_directory(cfg_.archive_dir)) {
-    store::ReaderOptions ropts;
-    ropts.threads = cfg_.recovery_threads > 0
-                        ? cfg_.recovery_threads
-                        : std::max(1u, std::thread::hardware_concurrency());
-    reader.emplace(cfg_.archive_dir, ropts);
-    recovery_.scanned = true;
-    recovery_.ports = reader->ports();
-    recovery_.stats = reader->stats();
-  }
-
   for (const std::uint32_t port : cfg_.ports) pipeline_.enable_port(port);
 
   if (cfg_.faults.has_value()) {
@@ -69,6 +52,9 @@ Daemon::Daemon(DaemonConfig cfg)
       aopts.segment_bytes = cfg_.archive_segment_bytes;
     }
     archive_.emplace(aopts);
+    if (const store::ArchiveReader* scan = archive_->recovery()) {
+      recovery_ = {true, scan->ports(), scan->stats()};
+    }
     archive_->attach(pipeline_, *analysis_, shard_faults_.get());
   }
 
@@ -76,7 +62,9 @@ Daemon::Daemon(DaemonConfig cfg)
       pipeline_, *analysis_, shard_faults_.get(), cfg_.supervisor);
   router_ =
       std::make_unique<QueryRouter>(pipeline_, *analysis_, supervisor_.get());
-  if (reader.has_value()) router_->load_recovered(*reader, cfg_.ports);
+  if (recovery_.scanned) {
+    router_->load_recovered(*archive_->recovery(), cfg_.ports);
+  }
 
   if (!cfg_.query_socket.empty()) {
     query_server_ = std::make_unique<QueryServer>(
@@ -134,7 +122,10 @@ int Daemon::run(const std::atomic<bool>& stop) {
   auto last_flush = last_watchdog;
   std::vector<std::uint8_t> raw;
 
-  while (!stop.load(std::memory_order_relaxed)) {
+  // A store error (a shard's append or seal, a flush tick, a final
+  // checkpoint, a footer) ends ingest; the first one is reported.
+  std::exception_ptr error;
+  while (!stop.load(std::memory_order_relaxed) && !error) {
     raw.clear();
     const std::size_t got =
         cfg_.feed_path.empty() ? 0 : tail_.poll(raw, cfg_.read_chunk);
@@ -159,24 +150,44 @@ int Daemon::run(const std::atomic<bool>& stop) {
     }
     if (archive_ && cfg_.flush_every_ms > 0 &&
         now - last_flush >= std::chrono::milliseconds(cfg_.flush_every_ms)) {
-      flush_archive();
+      try {
+        flush_archive();
+      } catch (...) {
+        error = std::current_exception();
+      }
       last_flush = now;
     }
+    if (!error) error = supervisor_->failure();
   }
 
-  // Graceful drain: release anything the fault injector still holds, absorb
-  // every queued record, close the archive cleanly, dump final metrics.
-  if (feed_faults_) {
+  // Drain: release anything the fault injector still holds, absorb every
+  // queued record, close the archive, dump final metrics. After a store
+  // error the feed stays where it stopped and the failed shard takes no
+  // final checkpoint; the others drain as usual.
+  if (feed_faults_ && !error) {
     std::lock_guard<std::mutex> lk(ingest_mu_);
     const auto rest = feed_faults_->feed_channel().flush();
     ingest_and_submit(rest);
   }
   supervisor_->drain_and_join();
-  if (archive_) archive_->close();
+  if (!error) error = supervisor_->failure();
+  if (archive_) {
+    try {
+      archive_->close();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
   if (!cfg_.metrics_out.empty()) write_metrics_file();
   if (query_server_) query_server_->stop();
   if (metrics_server_) metrics_server_->stop();
-  return 0;
+  if (!error) return 0;
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pq_serve: %s\n", e.what());
+  }
+  return 1;
 }
 
 void Daemon::flush_archive() {

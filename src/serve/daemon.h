@@ -7,12 +7,18 @@
 // and a Prometheus text endpoint on another.
 //
 // Lifecycle contract (docs/SERVICE.md):
-//   startup   — if the archive directory holds history, ArchiveReader
-//               scans it FIRST (trust-nothing prefix recovery), the router
-//               learns the recovered horizon, and only then do the writers
-//               open with resume (repairing torn tails content-neutrally).
+//   startup   — if the archive directory holds history, the Archive's one
+//               recovery scan (trust-nothing prefix recovery) gives the
+//               router its recovered horizon and each writer the record it
+//               resumes from (repairing torn tails content-neutrally). An
+//               archive the scan cannot read throws before any file is
+//               touched.
 //   running   — ingest under an explicit overload policy; watchdog passes
-//               over per-shard heartbeats; periodic metrics snapshots.
+//               over per-shard heartbeats; periodic metrics snapshots. A
+//               store error (a shard's append or seal, a flush tick, a
+//               final checkpoint, a footer) stops ingest: run() drains the
+//               other shards, closes the archive, prints one
+//               `pq_serve: ...` line and returns 1.
 //   SIGTERM   — graceful drain: stop ingesting, absorb every queued
 //               record, final checkpoint, archive footers, final metrics
 //               dump, exit 0. Loses nothing that reached a queue.
@@ -56,9 +62,6 @@ struct DaemonConfig {
   std::uint32_t retain_segments = 0;  ///< 0 = keep everything
   std::uint64_t archive_segment_bytes = 0;  ///< 0 = store default
   store::FsyncPolicy archive_fsync = store::FsyncPolicy::kNone;
-  /// Startup recovery scan workers (whole-port jobs; byte-identical to the
-  /// sequential scan). 0 = one per hardware thread, capped by port count.
-  unsigned recovery_threads = 0;
 
   std::string query_socket;    ///< empty = no query endpoint
   std::string metrics_socket;  ///< empty = no scrape endpoint
@@ -83,14 +86,16 @@ struct RecoverySummary {
 
 class Daemon {
  public:
-  /// Builds the full stack (recovery scan, shards, archive, supervisor,
-  /// router). Throws std::runtime_error on unusable configuration (no
-  /// ports, unbindable sockets).
+  /// Builds the full stack (shards, archive with its recovery scan,
+  /// supervisor, router). Throws std::runtime_error on unusable
+  /// configuration (no ports, unbindable sockets) or an archive the scan
+  /// cannot read.
   explicit Daemon(DaemonConfig cfg);
   ~Daemon();
 
-  /// Runs until `stop` becomes true (graceful drain) or the feed hits EOF
-  /// with follow disabled. Returns the process exit code.
+  /// Runs until `stop` becomes true (graceful drain), the feed hits EOF
+  /// with follow disabled, or a store error stops ingest. Returns the
+  /// process exit code: 0, or 1 after a store error.
   int run(const std::atomic<bool>& stop);
 
   const RecoverySummary& recovery() const { return recovery_; }

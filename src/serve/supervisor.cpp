@@ -73,22 +73,38 @@ void ShardSupervisor::worker_loop(std::uint32_t prefix) {
   }
   std::vector<wire::TelemetryRecord> recs;
   sim::PacketBatch pb;
-  for (;;) {
-    recs.clear();
-    const std::size_t n =
-        sh.queue.pop_batch(recs, opts_.batch, opts_.pop_wait);
-    if (n == 0) {
-      if (sh.queue.drained()) break;
-      continue;
+  try {
+    for (;;) {
+      recs.clear();
+      const std::size_t n =
+          sh.queue.pop_batch(recs, opts_.batch, opts_.pop_wait);
+      if (n == 0) {
+        if (sh.queue.drained()) break;
+        continue;
+      }
+      {
+        std::lock_guard<std::mutex> lk(sh.mu);
+        replay_records(recs, *sh.hook, opts_.batch, pb);
+        sh.last_deq = std::max(sh.last_deq, recs.back().deq_timestamp());
+      }
+      sh.absorbed.fetch_add(n, std::memory_order_relaxed);
+      sh.heartbeat.fetch_add(1, std::memory_order_relaxed);
     }
-    {
-      std::lock_guard<std::mutex> lk(sh.mu);
-      replay_records(recs, *sh.hook, opts_.batch, pb);
-      sh.last_deq = std::max(sh.last_deq, recs.back().deq_timestamp());
-    }
-    sh.absorbed.fetch_add(n, std::memory_order_relaxed);
-    sh.heartbeat.fetch_add(1, std::memory_order_relaxed);
+  } catch (...) {
+    fail(sh, std::current_exception());
   }
+}
+
+void ShardSupervisor::fail(Shard& sh, std::exception_ptr error) {
+  sh.failed = true;
+  sh.queue.close();
+  std::lock_guard<std::mutex> lk(failure_mu_);
+  if (!failure_) failure_ = std::move(error);
+}
+
+std::exception_ptr ShardSupervisor::failure() const {
+  std::lock_guard<std::mutex> lk(failure_mu_);
+  return failure_;
 }
 
 Submit ShardSupervisor::submit(const wire::TelemetryRecord& rec) {
@@ -124,9 +140,15 @@ void ShardSupervisor::drain_and_join() {
   // to close.
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = *shards_[s];
-    if (sh.absorbed.load(std::memory_order_relaxed) == 0) continue;
+    if (sh.failed || sh.absorbed.load(std::memory_order_relaxed) == 0) {
+      continue;
+    }
     std::lock_guard<std::mutex> lk(sh.mu);
-    analysis_.program(s).finalize(sh.last_deq + 1);
+    try {
+      analysis_.program(s).finalize(sh.last_deq + 1);
+    } catch (...) {
+      fail(sh, std::current_exception());
+    }
   }
 }
 

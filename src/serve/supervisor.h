@@ -23,10 +23,15 @@
 //   - drain_and_join() closes every queue, lets workers finish the backlog,
 //     then takes the final checkpoint — the graceful half of the
 //     kill-and-recover story (the other half is ArchiveReader's scan).
+//   - a store error on a worker (an archive append or seal that fails) is
+//     kept, not thrown on: the worker closes its own queue, so a
+//     backpressured pump is refused instead of blocking on a shard that no
+//     longer pops, and failure() reports the first such error.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -83,9 +88,14 @@ class ShardSupervisor {
   Submit submit(const wire::TelemetryRecord& rec);
 
   /// Closes every queue, joins the workers after they drain the backlog,
-  /// and takes the final checkpoint on every shard that absorbed records.
-  /// Idempotent.
+  /// and takes the final checkpoint on every shard that absorbed records
+  /// and did not fail. A checkpoint that throws fails its shard. Never
+  /// throws; idempotent.
   void drain_and_join();
+
+  /// The first exception a shard's worker or final checkpoint threw, or
+  /// null. A failed shard absorbs nothing more.
+  std::exception_ptr failure() const;
 
   /// One watchdog pass: returns how many shards have queued work but made
   /// no progress since the previous pass (also accumulated in
@@ -128,9 +138,13 @@ class ShardSupervisor {
     std::atomic<int> cpu{-1};  ///< effective worker CPU (-1 = unpinned)
     Timestamp last_deq = 0;  ///< guarded by mu
     sim::EgressHook* hook = nullptr;
+    bool failed = false;  ///< set by the worker; read after its join
   };
 
   void worker_loop(std::uint32_t prefix);
+  /// Marks the shard failed, closes its queue and keeps `error` if it is
+  /// the first.
+  void fail(Shard& sh, std::exception_ptr error);
 
   core::ShardedPipeline& pipeline_;
   control::ShardedAnalysis& analysis_;
@@ -141,6 +155,8 @@ class ShardSupervisor {
   std::atomic<std::uint64_t> watchdog_stalls_{0};
   std::atomic<bool> started_{false};
   std::atomic<bool> drained_{false};
+  mutable std::mutex failure_mu_;
+  std::exception_ptr failure_;  ///< guarded by failure_mu_
 };
 
 /// The record -> egress-context mapping shared with pq_replay: cells are

@@ -3,8 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "common/hash.h"
@@ -12,7 +14,7 @@
 #include "control/sharded_analysis.h"
 #include "core/port_pipeline.h"
 #include "faults/sharded_faults.h"
-#include "store/segment_chain.h"
+#include "store/archive_reader.h"
 #include "wire/bytes.h"
 
 namespace pq::store {
@@ -244,10 +246,37 @@ std::string segment_path(const std::string& archive_dir, std::uint32_t port,
 
 // --- ArchiveWriter --------------------------------------------------------
 
+namespace {
+
+/// Truncates the file a chain ends on to its valid prefix and appends the
+/// footer a clean close would have written, in the segment's own version.
+/// The sealed segment holds exactly the blocks ArchiveReader recovers from
+/// the damaged file, so the repair is content-neutral. Throws when the
+/// footer may not have reached the file, which still holds its valid
+/// prefix.
+void seal_valid_prefix(const std::string& path, const ChainEnd::Seal& seal,
+                       FsyncPolicy policy) {
+  std::error_code ec;
+  std::filesystem::resize_file(path, seal.valid_bytes, ec);
+  std::FILE* f = ec ? nullptr : std::fopen(path.c_str(), "ab");
+  if (f == nullptr) throw std::runtime_error("pq::store: cannot seal " + path);
+  const auto footer = encode_footer(seal.valid_bytes - seal.header_bytes,
+                                    seal.kept, seal.version);
+  bool ok = std::fwrite(footer.data(), 1, footer.size(), f) == footer.size();
+  if (ok && policy != FsyncPolicy::kNone) {
+    ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+  }
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) throw std::runtime_error("pq::store: cannot seal " + path);
+}
+
+}  // namespace
+
 ArchiveWriter::ArchiveWriter(std::uint32_t port,
                              const core::TimeWindowParams& params,
                              std::uint32_t monitor_levels, ArchiveOptions opts,
-                             faults::TornWriteInjector* write_faults)
+                             faults::TornWriteInjector* write_faults,
+                             const ChainEnd* chain_end)
     : port_(port),
       params_(params),
       monitor_levels_(monitor_levels),
@@ -259,7 +288,22 @@ ArchiveWriter::ArchiveWriter(std::uint32_t port,
                              std::to_string(opts_.format_version) +
                              " (the writer writes v2 only)");
   }
-  if (opts_.resume) resume_from_disk();
+  if (!opts_.resume) return;
+  // Resume applies the recovery scan's record of where the chain ends.
+  const ChainEnd end =
+      chain_end != nullptr ? *chain_end : scan_chain_end(opts_.dir, port_);
+  if (end.seal || !end.discard.empty()) ++stats_.tail_repairs;
+  if (end.seal) {
+    seal_valid_prefix(segment_path(opts_.dir, port_, end.seal->index),
+                      *end.seal, opts_.fsync);
+  }
+  std::error_code ec;
+  for (const std::uint32_t index : end.discard) {
+    std::filesystem::remove(segment_path(opts_.dir, port_, index), ec);
+  }
+  live_segments_ = end.live;
+  next_segment_index_ =
+      live_segments_.empty() ? 0 : live_segments_.back() + 1;
 }
 
 ArchiveWriter::~ArchiveWriter() {
@@ -337,7 +381,7 @@ void ArchiveWriter::append(BlockKind kind, std::uint32_t partition,
                                : frame.size();
   if (persisted > 0 &&
       std::fwrite(frame.data(), 1, persisted, file_) != persisted) {
-    throw std::runtime_error("pq::store: segment append failed");
+    fail_segment("cannot append to");
   }
   if (persisted < frame.size()) {
     // Injected crash: the prefix reaches disk, then the process is gone.
@@ -369,60 +413,6 @@ void ArchiveWriter::flush() {
   if (file_ != nullptr && std::fflush(file_) != 0) {
     fail_segment("cannot flush");
   }
-}
-
-namespace {
-
-/// Truncates the file a chain walk ended on to its valid prefix and appends
-/// the footer a clean close would have written, in the segment's own
-/// version. The sealed segment holds exactly the blocks ArchiveReader
-/// recovers from the damaged file, so the repair is content-neutral. Throws
-/// when the footer may not have reached the file, which still holds its
-/// valid prefix.
-void seal_valid_prefix(const ChainSegment& seg, FsyncPolicy policy) {
-  const std::string& path = seg.file->path;
-  std::error_code ec;
-  std::filesystem::resize_file(path, seg.valid_bytes, ec);
-  std::FILE* f = ec ? nullptr : std::fopen(path.c_str(), "ab");
-  if (f == nullptr) throw std::runtime_error("pq::store: cannot seal " + path);
-  const auto& entries = seg.scan.entries;
-  const std::vector<IndexEntry> kept(
-      entries.begin(),
-      entries.begin() + static_cast<std::ptrdiff_t>(seg.blocks.size()));
-  const auto footer = encode_footer(seg.valid_bytes - seg.scan.header_bytes,
-                                    kept, seg.scan.header.version);
-  bool ok = std::fwrite(footer.data(), 1, footer.size(), f) == footer.size();
-  if (ok && policy != FsyncPolicy::kNone) {
-    ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  }
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) throw std::runtime_error("pq::store: cannot seal " + path);
-}
-
-}  // namespace
-
-void ArchiveWriter::resume_from_disk() {
-  std::error_code ec;
-  const auto unreachable =
-      walk_segment_chain(opts_.dir, port_, [&](ChainSegment& seg) {
-        if (seg.clean()) {
-          live_segments_.push_back(seg.file->index);
-          return;
-        }
-        // The chain ends here. A file with no surviving block is deleted
-        // like the unreachable ones: sealing it adds nothing, and a sealed
-        // empty first segment would show a port the reader did not report.
-        ++stats_.tail_repairs;
-        if (seg.blocks.empty()) {
-          std::filesystem::remove(seg.file->path, ec);
-          return;
-        }
-        seal_valid_prefix(seg, opts_.fsync);
-        live_segments_.push_back(seg.file->index);
-      });
-  for (const auto& file : unreachable) std::filesystem::remove(file.path, ec);
-  next_segment_index_ =
-      live_segments_.empty() ? 0 : live_segments_.back() + 1;
 }
 
 void ArchiveWriter::apply_retention() {
@@ -504,7 +494,14 @@ void ArchiveWriter::close() {
 
 // --- Archive --------------------------------------------------------------
 
-Archive::Archive(ArchiveOptions opts) : opts_(std::move(opts)) {}
+Archive::Archive(ArchiveOptions opts) : opts_(std::move(opts)) {
+  std::error_code ec;
+  if (opts_.resume && std::filesystem::is_directory(opts_.dir, ec)) {
+    ReaderOptions ropts;
+    ropts.threads = std::max(1u, std::thread::hardware_concurrency());
+    recovery_ = std::make_unique<const ArchiveReader>(opts_.dir, ropts);
+  }
+}
 
 Archive::~Archive() {
   try {
@@ -519,10 +516,12 @@ ArchiveWriter& Archive::writer(std::uint32_t port,
                                faults::TornWriteInjector* write_faults) {
   auto it = writers_.find(port);
   if (it == writers_.end()) {
+    // Without a scan there is no chain to resume: the writer starts fresh.
+    const ChainEnd end = recovery_ ? recovery_->chain_end(port) : ChainEnd{};
     it = writers_
              .emplace(port, std::make_unique<ArchiveWriter>(
                                 port, params, monitor_levels, opts_,
-                                write_faults))
+                                write_faults, &end))
              .first;
   }
   return *it->second;
@@ -543,7 +542,15 @@ void Archive::attach(core::ShardedPipeline& pipeline,
 }
 
 void Archive::close() {
-  for (auto& [port, w] : writers_) w->close();
+  std::exception_ptr first;
+  for (auto& [port, w] : writers_) {
+    try {
+      w->close();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 void Archive::flush_all() {

@@ -30,6 +30,7 @@
 #include "obs/metrics.h"
 #include "store/archive_format.h"
 #include "store/block_codec_v2.h"
+#include "store/segment_chain.h"
 
 namespace pq::core {
 class ShardedPipeline;
@@ -44,6 +45,8 @@ class ShardedFaultPlan;
 
 namespace pq::store {
 
+class ArchiveReader;
+
 /// Appends one port's telemetry stream to its segment chain. Not
 /// thread-safe by design: exactly one shard drives it, synchronously.
 class ArchiveWriter final : public control::TelemetrySink {
@@ -52,10 +55,12 @@ class ArchiveWriter final : public control::TelemetrySink {
   /// layout (stamped into every segment header, so a reader can decode the
   /// stream even if no calibration block survives). `write_faults`, when
   /// set, interposes on every block append and may tear it (the injected
-  /// crash); not owned, must outlive the writer.
+  /// crash); not owned, must outlive the writer. `opts.resume` repairs the
+  /// chain as `chain_end` says, else as scan_chain_end finds it.
   ArchiveWriter(std::uint32_t port, const core::TimeWindowParams& params,
                 std::uint32_t monitor_levels, ArchiveOptions opts,
-                faults::TornWriteInjector* write_faults = nullptr);
+                faults::TornWriteInjector* write_faults = nullptr,
+                const ChainEnd* chain_end = nullptr);
   ~ArchiveWriter() override;
 
   ArchiveWriter(const ArchiveWriter&) = delete;
@@ -85,8 +90,9 @@ class ArchiveWriter final : public control::TelemetrySink {
   /// the file.
   void flush();
 
-  /// True after an injected torn write or a segment that failed to seal:
-  /// all further events are discarded and no footer will be written.
+  /// True after an injected torn write, a failed append or a segment that
+  /// failed to seal: all further events are discarded and no footer will
+  /// be written.
   bool dead() const { return dead_; }
 
   std::uint32_t port() const { return port_; }
@@ -109,10 +115,6 @@ class ArchiveWriter final : public control::TelemetrySink {
   /// marks the writer dead, so no later segment opens past a chain that
   /// ends here, and throws std::runtime_error naming `what` and the file.
   [[noreturn]] void fail_segment(const char* what);
-  /// ArchiveOptions::resume: repairs the file the port's chain walk ends
-  /// on, deletes the unreachable later segments and positions the writer
-  /// after the surviving chain.
-  void resume_from_disk();
   /// ArchiveOptions::retain_segments: deletes the oldest on-disk segments
   /// beyond the retention cap.
   void apply_retention();
@@ -143,6 +145,10 @@ class ArchiveWriter final : public control::TelemetrySink {
 /// shard of a system in one call.
 class Archive {
  public:
+  /// With `opts.resume` and an existing `opts.dir`, runs the recovery scan
+  /// (one worker per hardware thread) before any writer exists, and each
+  /// writer resumes from its port's ChainEnd. Throws what the scan throws
+  /// (an unreadable archive), before any file is touched.
   explicit Archive(ArchiveOptions opts);
   ~Archive();
 
@@ -163,7 +169,8 @@ class Archive {
               control::ShardedAnalysis& analysis,
               faults::ShardedFaultPlan* faults = nullptr);
 
-  /// Closes every writer (footer + fsync per policy). Idempotent.
+  /// Closes every writer (footer + fsync per policy), then throws the first
+  /// writer's error, if any. Idempotent.
   void close();
 
   /// flush() on every writer (the caller must hold whatever locks
@@ -171,12 +178,15 @@ class Archive {
   void flush_all();
 
   const ArchiveOptions& options() const { return opts_; }
+  /// The recovery scan the constructor ran, or null when it ran none.
+  const ArchiveReader* recovery() const { return recovery_.get(); }
 
   /// Per-port writer stats summed across all writers.
   WriterStats stats() const;
 
  private:
   ArchiveOptions opts_;
+  std::unique_ptr<const ArchiveReader> recovery_;
   /// Ordered by port so close order and summed stats are deterministic.
   std::map<std::uint32_t, std::unique_ptr<ArchiveWriter>> writers_;
 };

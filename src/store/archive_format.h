@@ -158,15 +158,17 @@ struct ArchiveOptions {
   /// after every segment close (0 = unlimited). The surviving chain stays
   /// contiguous, it just no longer starts at index 0.
   std::uint32_t retain_segments = 0;
-  /// Reopen an existing archive directory: on construction each writer
-  /// walks its port's chain (segment_chain.h), truncates the file the chain
-  /// ends on to its valid prefix and writes the missing footer (a file with
-  /// no surviving block is deleted instead), deletes the unreachable later
-  /// segments, and continues appending in a fresh segment after the highest
-  /// surviving index. The repair keeps exactly the prefix ArchiveReader
-  /// would have recovered, so restart never changes what queries can see.
-  /// A footer that cannot be written makes the constructor throw; the file
-  /// keeps its valid prefix, which a reader still recovers.
+  /// Reopen an existing archive directory. Archive runs the recovery scan
+  /// of `dir`, when it is a directory, before it creates any writer; each
+  /// writer then applies its port's ChainEnd (segment_chain.h), reading no
+  /// segment file: it truncates the file the chain ends on to its valid
+  /// prefix and writes the missing footer (a file with no surviving block
+  /// is deleted instead), deletes the unreachable later segments, and
+  /// continues appending in a fresh segment after the highest surviving
+  /// index, so restart never changes what queries can see. A scan that
+  /// cannot read the archive throws before any file is touched. A footer
+  /// that cannot be written makes the writer's constructor throw, and the
+  /// file keeps its valid prefix, which a reader still recovers.
   bool resume = false;
   /// On-disk format of new segments. Only kFormatVersionV2 is accepted;
   /// the writer throws for any other value.
@@ -203,8 +205,8 @@ struct ReaderStats {
   std::uint64_t decode_errors = 0;
 };
 
-/// One segment file's trust-nothing CRC scan, as the segment-chain walk
-/// (segment_chain.h) takes it for every file it opens.
+/// One segment file's trust-nothing CRC scan, as the recovery scan takes
+/// it for every file of a chain it opens (segment_chain.h).
 struct SegmentScan {
   bool header_ok = false;
   SegmentHeader header;
@@ -221,7 +223,7 @@ struct SegmentScan {
 SegmentScan scan_segment_bytes(std::span<const std::uint8_t> data,
                                std::uint32_t expected_port);
 
-/// Filesystem layout: the canonical names, the only ones the chain walk
+/// Filesystem layout: the canonical names, the only ones the chain rule
 /// (segment_chain.h) accepts.
 std::string port_dir(const std::string& archive_dir, std::uint32_t port);
 std::string segment_path(const std::string& archive_dir, std::uint32_t port,

@@ -1,14 +1,21 @@
 #include "store/archive_reader.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdio>
+#include <exception>
 #include <filesystem>
-#include <iterator>
+#include <span>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <type_traits>
 #include <utility>
 
+#include "store/block_codec_v2.h"
 #include "wire/bytes.h"
 
 namespace pq::store {
@@ -23,6 +30,7 @@ namespace {
 struct PortScanResult {
   RecoveredPort rec;
   ReaderStats stats;
+  ChainEnd end;
   bool keep = false;
 };
 
@@ -61,51 +69,113 @@ CheckpointIndex index_checkpoints(const std::vector<RecoveredBlock>& blocks) {
   return index;
 }
 
+/// The whole of one listed segment file. A file that cannot be opened or
+/// read in full is an I/O error, not damage: it throws, naming the file.
+std::vector<std::uint8_t> read_segment_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  struct stat st {};
+  int err = f == nullptr || ::fstat(::fileno(f), &st) != 0 ? errno : 0;
+  std::vector<std::uint8_t> data(
+      err == 0 ? static_cast<std::size_t>(st.st_size) : 0);
+  if (err == 0 && std::fread(data.data(), 1, data.size(), f) != data.size()) {
+    err = std::ferror(f) != 0 ? errno : EIO;
+  }
+  if (f != nullptr) std::fclose(f);
+  if (err != 0) {
+    throw std::runtime_error("pq::store: cannot read " + path + ": " +
+                             std::generic_category().message(err));
+  }
+  return data;
+}
+
+/// The one walk over a port's chain (segment_chain.h): each file read once,
+/// one at a time, in index order; records where the chain ends for resume.
 PortScanResult scan_port(const std::string& dir, std::uint32_t port) {
   PortScanResult out;
-  const auto unreachable =
-      walk_segment_chain(dir, port, [&](ChainSegment& seg) {
-        ++out.stats.segments_opened;
-        out.stats.bytes_truncated += seg.file_bytes - seg.valid_bytes;
-        if (!seg.clean()) ++out.stats.recoveries;
-        if (!seg.scan.header_ok) return;
-        const SegmentScan& scan = seg.scan;
-        // The first file's header is the register layout of last resort.
-        if (out.rec.segments.empty()) out.rec.header = scan.header;
-        out.rec.last_index = scan.header.segment_index;
+  ChainEnd& end = out.end;
+  const std::vector<SegmentFile> files = list_segment_files(dir, port);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const std::vector<std::uint8_t> data = read_segment_file(files[i].path);
+    SegmentScan scan = scan_segment_bytes(data, port);
+    if (scan.header.segment_index != files[i].index ||
+        (i > 0 && files[i].index != files[i - 1].index + 1)) {
+      scan = SegmentScan{};  // out of sequence: nothing of it is kept
+    }
+    // The chain keeps all of a clean file, else its header and the frames
+    // before the first torn, corrupt or undecodable one.
+    std::uint64_t valid_bytes =
+        scan.footer_ok ? data.size() : scan.header_bytes + scan.blocks_bytes;
+    auto status = BlockDecodeStatus::kOk;
+    std::size_t kept = 0;
+    SegmentPayloadCodec codec;
+    for (const auto& e : scan.entries) {
+      RecoveredBlock block{e.kind, e.partition, e.t_lo, e.t_hi, {}};
+      status = codec.decode(scan.header.version, e.kind, e.partition,
+                            std::span(data).subspan(
+                                e.offset + kBlockOverheadBytes - 4,
+                                e.length - kBlockOverheadBytes),
+                            block.payload);
+      if (status != BlockDecodeStatus::kOk) {
+        valid_bytes = e.offset;
+        break;
+      }
+      out.rec.blocks.push_back(std::move(block));
+      ++kept;
+    }
+    const bool clean = scan.footer_ok && status == BlockDecodeStatus::kOk;
+    ++out.stats.segments_opened;
+    out.stats.bytes_truncated += data.size() - valid_bytes;
+    if (!clean) ++out.stats.recoveries;
 
-        SegmentInfo info;
-        info.index = scan.header.segment_index;
-        info.version = scan.header.version;
-        info.blocks = seg.blocks.size();
-        info.bytes = seg.valid_bytes;
-        info.footer_ok = scan.footer_ok;
-        info.index_samples =
-            build_time_index(scan.entries, kSeekIndexStride).size();
-        if (!scan.entries.empty()) {
-          info.t_lo_min = std::numeric_limits<std::uint64_t>::max();
-          for (const auto& e : scan.entries) {
-            info.t_lo_min = std::min(info.t_lo_min, e.t_lo);
-            info.t_hi_max = std::max(info.t_hi_max, e.t_hi);
-          }
-        }
-        out.rec.segments.push_back(info);
+    if (scan.header_ok) {
+      // The first file's header is the register layout of last resort.
+      if (out.rec.segments.empty()) out.rec.header = scan.header;
 
-        if (seg.decode_status != BlockDecodeStatus::kOk) {
-          // A typed report instead of a silent hole.
-          out.rec.decode_error = {seg.decode_status, info.index,
-                                  out.rec.blocks.size() + seg.blocks.size()};
-          ++out.stats.decode_errors;
+      SegmentInfo info;
+      info.index = scan.header.segment_index;
+      info.version = scan.header.version;
+      info.blocks = kept;
+      info.bytes = valid_bytes;
+      info.footer_ok = scan.footer_ok;
+      info.index_samples =
+          build_time_index(scan.entries, kSeekIndexStride).size();
+      if (!scan.entries.empty()) {
+        info.t_lo_min = std::numeric_limits<std::uint64_t>::max();
+        for (const auto& e : scan.entries) {
+          info.t_lo_min = std::min(info.t_lo_min, e.t_lo);
+          info.t_hi_max = std::max(info.t_hi_max, e.t_hi);
         }
-        if (seg.clean()) ++out.stats.footer_hits;
-        out.stats.blocks_recovered += seg.blocks.size();
-        std::move(seg.blocks.begin(), seg.blocks.end(),
-                  std::back_inserter(out.rec.blocks));
-      });
-  for (const auto& file : unreachable) {
-    std::error_code ec;
-    const auto size = fs::file_size(file.path, ec);
-    if (!ec) out.stats.bytes_truncated += size;
+      }
+      out.rec.segments.push_back(info);
+
+      if (status != BlockDecodeStatus::kOk) {
+        // A typed report instead of a silent hole.
+        out.rec.decode_error = {status, info.index, out.rec.blocks.size()};
+        ++out.stats.decode_errors;
+      }
+      if (clean) ++out.stats.footer_hits;
+      out.stats.blocks_recovered += kept;
+    }
+    if (clean || kept > 0) end.live.push_back(files[i].index);
+    if (clean) continue;
+
+    // The chain ends here. A file with no surviving block is deleted like
+    // the unreachable ones: sealing it adds nothing, and a sealed empty
+    // first segment would show a port the reader did not report.
+    if (kept == 0) {
+      end.discard.push_back(files[i].index);
+    } else {
+      scan.entries.resize(kept);
+      end.seal = {files[i].index, scan.header.version, scan.header_bytes,
+                  valid_bytes, std::move(scan.entries)};
+    }
+    for (std::size_t j = i + 1; j < files.size(); ++j) {
+      end.discard.push_back(files[j].index);
+      std::error_code ec;
+      const auto size = fs::file_size(files[j].path, ec);
+      if (!ec) out.stats.bytes_truncated += size;
+    }
+    break;
   }
 
   // A port reads as one once its first segment is clean or a block
@@ -196,26 +266,29 @@ ArchiveReader::ArchiveReader(const std::string& dir, ReaderOptions opts)
   }
   const std::vector<std::uint32_t> ports = list_ports(dir);
   std::vector<PortScanResult> results(ports.size());
+  // Whole-port work stealing: a port's chain is one job, so each result
+  // slot is written by exactly one worker and merge order is fixed. A
+  // worker keeps a port's error in that port's slot, so the one rethrown
+  // here, the lowest port's, is the same at any width.
+  std::vector<std::exception_ptr> errors(ports.size());
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < ports.size();) {
+      try {
+        results[i] = scan_port(dir, ports[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
   const std::size_t workers = std::min<std::size_t>(
       std::max(1u, opts_.threads), ports.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < ports.size(); ++i) {
-      results[i] = scan_port(dir, ports[i]);
-    }
-  } else {
-    // Whole-port work stealing: a port's chain is one job, so each result
-    // slot is written by exactly one worker and merge order is fixed.
-    std::atomic<std::size_t> next{0};
-    const auto work = [&] {
-      for (std::size_t i; (i = next.fetch_add(1)) < ports.size();) {
-        results[i] = scan_port(dir, ports[i]);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t w = 0; w + 1 < workers; ++w) pool.emplace_back(work);
-    work();
-    for (auto& t : pool) t.join();
+  std::vector<std::thread> pool;
+  for (std::size_t w = 0; w + 1 < workers; ++w) pool.emplace_back(work);
+  work();
+  for (auto& t : pool) t.join();
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
   for (std::size_t i = 0; i < ports.size(); ++i) {
     auto& r = results[i];
@@ -225,11 +298,16 @@ ArchiveReader::ArchiveReader(const std::string& dir, ReaderOptions opts)
     stats_.blocks_recovered += r.stats.blocks_recovered;
     stats_.bytes_truncated += r.stats.bytes_truncated;
     stats_.decode_errors += r.stats.decode_errors;
+    chain_ends_.emplace(ports[i], std::move(r.end));
     if (r.keep) {
       ports_.emplace(ports[i],
                      std::make_shared<const RecoveredPort>(std::move(r.rec)));
     }
   }
+}
+
+ChainEnd scan_chain_end(const std::string& dir, std::uint32_t port) {
+  return scan_port(dir, port).end;
 }
 
 std::vector<std::uint32_t> ArchiveReader::ports() const {

@@ -1,13 +1,15 @@
 // Recovery scan and retroactive query engine over a pq::store archive.
 //
-// The reader trusts nothing but the CRCs: on open it reads each port's
-// chain through the segment-chain walk (segment_chain.h, the rule it shares
-// with the writer's resume repair), keeps exactly the longest valid prefix of
-// each port's stream and truncates everything after the first torn or
-// corrupt byte (the footer, when present and consistent with the scan,
-// only confirms a clean close — it is never used to skip verification). v2
-// segment payloads are decoded back to their logical (v1) bytes during the
-// walk, so RecoveredBlock::payload — and everything downstream of it:
+// The reader trusts nothing but the CRCs: on open it walks each port's
+// chain once (segment_chain.h; no other code reads segment files), keeps
+// exactly the longest valid prefix of each port's stream and truncates
+// everything after the first torn or corrupt byte (the footer, when present
+// and consistent with the scan, only confirms a clean close — it is never
+// used to skip verification), and records where each chain ends
+// (ChainEnd), which resume applies. A file it cannot list, open or read in
+// full throws: unreadable is not damaged. v2 segment payloads are decoded
+// back to their logical (v1) bytes during the walk, so
+// RecoveredBlock::payload — and everything downstream of it:
 // logical_content(), the pq_query `blocks` listing, the pq_offline
 // byte-match contract — is independent of the on-disk format. The walk
 // parses every window, monitor and calibration payload it keeps, so no
@@ -89,11 +91,9 @@ struct CheckpointIndex {
 
 /// One port's surviving stream: the first segment's header (the register
 /// layout of last resort) plus every recovered block. With retention the
-/// chain may start above segment index 0; `header.segment_index` and
-/// `last_index` bound the surviving on-disk chain.
+/// chain may start above segment index 0 (`header.segment_index`).
 struct RecoveredPort {
   SegmentHeader header;
-  std::uint32_t last_index = 0;  ///< newest successfully scanned segment
   std::vector<RecoveredBlock> blocks;
   std::vector<SegmentInfo> segments;
   DecodeErrorInfo decode_error;
@@ -144,7 +144,9 @@ class ArchiveReader {
  public:
   /// Opens `dir` and recovers every port. Never throws on torn or corrupt
   /// data — damage only shrinks the recovered prefix and is counted in
-  /// stats(). Throws std::runtime_error only if `dir` is not a directory.
+  /// stats(). Throws std::runtime_error if `dir` is not a directory, or if
+  /// a directory under it cannot be listed or a segment file cannot be
+  /// opened or read in full (whichever worker met it).
   explicit ArchiveReader(const std::string& dir);
   ArchiveReader(const std::string& dir, ReaderOptions opts);
 
@@ -159,6 +161,12 @@ class ArchiveReader {
   const std::map<std::uint32_t, std::shared_ptr<const RecoveredPort>>&
   recovered() const {
     return ports_;
+  }
+  /// Where the port's chain ends, for every port directory the scan listed,
+  /// recovered or not; empty for one it did not list.
+  ChainEnd chain_end(std::uint32_t port) const {
+    const auto it = chain_ends_.find(port);
+    return it == chain_ends_.end() ? ChainEnd{} : it->second;
   }
 
   /// Rebuilds a RegisterRecords bundle from the port's surviving blocks,
@@ -209,9 +217,14 @@ class ArchiveReader {
  private:
   ReaderOptions opts_;
   std::map<std::uint32_t, std::shared_ptr<const RecoveredPort>> ports_;
+  std::map<std::uint32_t, ChainEnd> chain_ends_;
   ReaderStats stats_;
   mutable SeekStats seek_stats_;
 };
+
+/// The recovery scan of one port's chain, for a writer resumed on its own
+/// (ArchiveWriter without an Archive's scan of the whole directory).
+ChainEnd scan_chain_end(const std::string& dir, std::uint32_t port);
 
 /// Flattens reader counters into a registry (pq_store_reader_* namespace).
 void export_reader_metrics(obs::MetricsRegistry& reg, const ReaderStats& s);

@@ -1,6 +1,6 @@
-// The one walk over a port's segment chain. Recovery (ArchiveReader) and
-// the writer's resume repair both read a chain through it, so they agree on
-// where it ends. The chain rule:
+// The segment-chain rule. The recovery scan (archive_reader.h) is the only
+// code that reads a chain's files; resume applies the ChainEnd it records,
+// so recovery and repair agree on where a chain ends. The rule:
 //
 //   names   a directory is port P only if its name is exactly the last part
 //           of port_dir(dir, P); a file is in P's chain only if its path is
@@ -16,10 +16,15 @@
 //           (header plus the frames before the first torn, corrupt or
 //           undecodable one) is what survives of it; every later file is
 //           unreachable.
+//
+// Unreadable is not damaged: a directory that exists but cannot be listed,
+// or a listed segment file that cannot be opened or read in full, throws
+// std::runtime_error naming the path, so no repair ever runs on a chain
+// the scan could not see. A missing directory lists as empty.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,7 +33,7 @@
 namespace pq::store {
 
 /// Ports whose directory under `archive_dir` has the canonical name, in
-/// ascending order. A missing or unreadable directory lists as empty.
+/// ascending order. A missing directory lists as empty.
 std::vector<std::uint32_t> list_ports(const std::string& archive_dir);
 
 /// One canonically named segment file of a port.
@@ -36,6 +41,11 @@ struct SegmentFile {
   std::uint32_t index = 0;
   std::string path;
 };
+
+/// The port's canonically named segment files, ascending by index. A
+/// missing port directory lists as empty.
+std::vector<SegmentFile> list_segment_files(const std::string& archive_dir,
+                                            std::uint32_t port);
 
 /// One CRC-verified block, in the writer's append order. `payload` is
 /// always the logical (v1) snapshot bytes, whatever the segment format.
@@ -47,34 +57,27 @@ struct RecoveredBlock {
   std::vector<std::uint8_t> payload;
 };
 
-/// One file of the chain, as the walk hands it to its caller.
-struct ChainSegment {
-  const SegmentFile* file = nullptr;
-  std::uint64_t file_bytes = 0;
-  /// The file's CRC scan. `header_ok` is false also when the file breaks
-  /// the index sequence; nothing of such a file is kept.
-  SegmentScan scan;
-  /// The decoded CRC-valid frames, in order, up to the first one that fails
-  /// to decode.
-  std::vector<RecoveredBlock> blocks;
-  BlockDecodeStatus decode_status = BlockDecodeStatus::kOk;
-  /// Bytes of the file the chain keeps: all of them when clean(), else the
-  /// header and the frames in `blocks` (0 without a usable header).
-  std::uint64_t valid_bytes = 0;
+/// Where one port's chain ends, as the recovery scan found it, and so what
+/// resume does there. Empty for a port with no segment files.
+struct ChainEnd {
+  /// The end file, when it is not clean but blocks of it survive: resume
+  /// truncates it to `valid_bytes` and writes the footer a clean close
+  /// would have written over `kept`, in the file's own version.
+  struct Seal {
+    std::uint32_t index = 0;
+    std::uint16_t version = kFormatVersionV1;
+    std::uint64_t header_bytes = 0;
+    std::uint64_t valid_bytes = 0;  ///< header plus the kept frames
+    std::vector<IndexEntry> kept;   ///< the surviving frames, in order
+  };
 
-  bool clean() const {
-    return scan.header_ok && scan.footer_ok &&
-           decode_status == BlockDecodeStatus::kOk;
-  }
+  /// Surviving segment indices, oldest first: every clean segment, then the
+  /// sealed end file. The writer continues after the last one.
+  std::vector<std::uint32_t> live;
+  std::optional<Seal> seal;
+  /// Files resume deletes: the end file when no block of it survives, then
+  /// every unreachable later file.
+  std::vector<std::uint32_t> discard;
 };
-
-/// Walks the port's canonically named segment files in ascending index
-/// order, holding one file in memory at a time, and calls `visit` on each
-/// file it opens: every clean segment, then the file that ends the chain.
-/// Returns the files after the one that ended the chain, which no reader
-/// reaches; empty when the chain runs to the last file.
-std::vector<SegmentFile> walk_segment_chain(
-    const std::string& archive_dir, std::uint32_t port,
-    const std::function<void(ChainSegment&)>& visit);
 
 }  // namespace pq::store

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <thread>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "store/archive_reader.h"
 #include "wire/trace_io.h"
 #include "../integration/sharded_harness.h"
+#include "../store/archive_test_util.h"
 
 namespace pq::serve {
 namespace {
@@ -121,16 +123,21 @@ TEST(DaemonLifecycle, StopFlagDrainsInsteadOfDropping) {
   EXPECT_EQ(daemon.supervisor().queue_depth(), 0u);
 }
 
-/// Restarts a query-only daemon over `arch` (nothing new to ingest) and
-/// sends each request through its unix socket, one connection apiece.
+/// Restarts a query-only daemon serving `ports` over `arch` (nothing new to
+/// ingest), hands it to `inspect` once it is built, and sends each request
+/// through its unix socket, one connection apiece.
 std::vector<control::QueryResponse> ask_restarted_daemon(
     const std::string& dir, const std::string& arch,
-    const std::vector<control::QueryRequest>& requests) {
+    const std::vector<control::QueryRequest>& requests,
+    const std::vector<std::uint32_t>& ports = {6},
+    const std::function<void(Daemon&)>& inspect = nullptr) {
   auto dc = base_config(dir + "/none.pqsm", arch);
+  dc.ports = ports;
   dc.follow = true;
   dc.query_socket = dir + "/q.sock";
   Daemon daemon(std::move(dc));
   EXPECT_TRUE(daemon.recovery().scanned);
+  if (inspect) inspect(daemon);
 
   std::atomic<bool> stop{false};
   std::thread runner([&] { EXPECT_EQ(daemon.run(stop), 0); });
@@ -281,6 +288,81 @@ TEST(DaemonLifecycle, RecoveredAnswersReportCoverageAfterRetention) {
             control::offline_query_time_windows(records, 0,
                                                 horizon - t_set / 2, horizon)
                 .counts);
+}
+
+TEST(DaemonLifecycle, RestartRepairsADamagedMultiPortArchiveFromItsScan) {
+  // Port 6 (archive prefix 0) writes three or more segments; then its
+  // middle one loses the end of a frame, so the ones after it are
+  // unreachable, and port 7's directory (prefix 1) gets one file with a
+  // bad header.
+  const TempDir dir;
+  const std::string feed = dir.path() + "/feed.pqsm";
+  const std::string arch = dir.path() + "/arch";
+  wire::write_stream_file(feed, feed_records(30000, 6));
+  auto dc = base_config(feed, arch);
+  dc.ports = {6, 7};
+  dc.archive_segment_bytes = 64 * 1024;
+  {
+    std::atomic<bool> stop{false};
+    Daemon first(std::move(dc));
+    ASSERT_EQ(first.run(stop), 0);
+  }
+  const std::string seg1 = store::segment_path(arch, 0, 1);
+  const std::string seg2 = store::segment_path(arch, 0, 2);
+  const std::string bad = store::segment_path(arch, 1, 0);
+  ASSERT_TRUE(fs::exists(seg2));
+  const auto scan = store::scan_segment_bytes(harness::read_bytes(seg1), 0);
+  ASSERT_GE(scan.entries.size(), 2u);
+  fs::resize_file(seg1, scan.entries[scan.entries.size() / 2].offset + 5);
+  fs::create_directories(store::port_dir(arch, 1));
+  harness::write_bytes(bad, std::vector<std::uint8_t>(64, 0xAB));
+
+  // The oracle: a scan of a copy taken before the restart.
+  fs::copy(arch, dir.path() + "/copy", fs::copy_options::recursive);
+  const store::ArchiveReader oracle(dir.path() + "/copy");
+  ASSERT_EQ(oracle.ports(), std::vector<std::uint32_t>{0});
+  ASSERT_EQ(oracle.stats().recoveries, 2u);
+  const Timestamp horizon =
+      oracle.recovered().at(0)->index.windows.at(0).back().t_hi;
+  const auto want = oracle.query_time_windows_detail(0, 0, horizon);
+  const auto want_culprits = oracle.query_queue_monitor(0, horizon / 2);
+
+  control::QueryRequest monitor = windows_request(32, horizon / 2, 0);
+  monitor.type = control::QueryType::kQueueMonitor;
+  const auto responses = ask_restarted_daemon(
+      dir.path(), arch, {windows_request(31, 0, horizon), monitor}, {6, 7},
+      [&](Daemon& d) {
+        const store::ReaderStats& got = d.recovery().stats;
+        const store::ReaderStats& ref = oracle.stats();
+        EXPECT_EQ(d.recovery().ports, oracle.ports());
+        EXPECT_EQ(got.segments_opened, ref.segments_opened);
+        EXPECT_EQ(got.footer_hits, ref.footer_hits);
+        EXPECT_EQ(got.recoveries, ref.recoveries);
+        EXPECT_EQ(got.blocks_recovered, ref.blocks_recovered);
+        EXPECT_EQ(got.bytes_truncated, ref.bytes_truncated);
+        EXPECT_EQ(got.decode_errors, ref.decode_errors);
+        EXPECT_EQ(d.collect_metrics().counter_value(
+                      "pq_store_tail_repairs_total"),
+                  2u);
+      });
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].counts, want.counts);
+  EXPECT_DOUBLE_EQ(responses[0].confidence, want.coverage);
+  ASSERT_EQ(responses[1].culprits.size(), want_culprits.size());
+  for (std::size_t i = 0; i < want_culprits.size(); ++i) {
+    EXPECT_EQ(responses[1].culprits[i].flow, want_culprits[i].flow);
+    EXPECT_EQ(responses[1].culprits[i].level, want_culprits[i].level);
+    EXPECT_EQ(responses[1].culprits[i].seq, want_culprits[i].seq);
+  }
+
+  // The end file is sealed; the unreachable file and the bad one are gone.
+  EXPECT_TRUE(
+      store::scan_segment_bytes(harness::read_bytes(seg1), 0).footer_ok);
+  EXPECT_FALSE(fs::exists(seg2));
+  EXPECT_FALSE(fs::exists(bad));
+  const store::ArchiveReader after(arch);
+  EXPECT_EQ(after.stats().recoveries, 0u);
+  EXPECT_EQ(after.logical_content(), oracle.logical_content());
 }
 
 TEST(DaemonLifecycle, ArchiveBytesAreADeterministicFunctionOfTheFeed) {

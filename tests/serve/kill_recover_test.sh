@@ -61,7 +61,8 @@ wait_socket() {
 }
 
 # --- 0. Unknown options are refused ---------------------------------------
-for UNKNOWN in "--archive-dri $WORK/typo_dir" "--compact-every-ms 5"; do
+for UNKNOWN in "--archive-dri $WORK/typo_dir" "--compact-every-ms 5" \
+               "--recovery-threads 2"; do
   set +e
   # shellcheck disable=SC2086  # the option and its value are two words
   "$TOOLS_DIR/pq_serve" --ports 0 $UNKNOWN --exit-at-eof \

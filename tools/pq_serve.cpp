@@ -13,7 +13,6 @@
 //            [--pin-threads]
 //            [--archive-dir DIR] [--retain-segments N]
 //            [--archive-segment-bytes N] [--archive-fsync none|segment|block]
-//            [--recovery-threads N]
 //            [--query-sock PATH] [--metrics-sock PATH]
 //            [--metrics-out FILE] [--metrics-every-ms N]
 //            [--watchdog-ms N] [--flush-every-ms N] [--poll-sleep-us N]
@@ -25,8 +24,14 @@
 // absorbed, archive footers written, final metrics dumped, exit 0); a
 // second signal aborts immediately. After a SIGKILL, the next start with
 // the same --archive-dir recovers the longest valid prefix and keeps
-// serving queries over it. An argument that is none of the options above
-// (or the value of one) exits 2 and is named.
+// serving queries over it: one recovery scan of the directory, on one
+// worker per hardware thread, from which every writer resumes. An archive
+// that cannot be read (a directory that cannot be listed, a segment that
+// cannot be opened or read in full) exits 1 before any file is repaired;
+// a store error while running (an append, a seal, a flush) drains the
+// other shards and exits 1, each with one `pq_serve: ...` line on stderr.
+// An argument that is none of the options above (or the value of one)
+// exits 2 and is named.
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
@@ -57,15 +62,15 @@ constexpr Option kOptions[] = {
     {"--queue-cap", true},       {"--overload", true},
     {"--pin-threads", false},    {"--archive-dir", true},
     {"--retain-segments", true}, {"--archive-segment-bytes", true},
-    {"--archive-fsync", true},   {"--recovery-threads", true},
-    {"--query-sock", true},      {"--metrics-sock", true},
-    {"--metrics-out", true},     {"--metrics-every-ms", true},
-    {"--watchdog-ms", true},     {"--flush-every-ms", true},
-    {"--poll-sleep-us", true},   {"--faults", true},
-    {"--alpha", true},           {"--k", true},
-    {"--T", true},               {"--m0", true},
-    {"--max-depth", true},       {"--salvage", false},
-    {"--simd", true},            {"--print-simd", false},
+    {"--archive-fsync", true},   {"--query-sock", true},
+    {"--metrics-sock", true},    {"--metrics-out", true},
+    {"--metrics-every-ms", true}, {"--watchdog-ms", true},
+    {"--flush-every-ms", true},  {"--poll-sleep-us", true},
+    {"--faults", true},          {"--alpha", true},
+    {"--k", true},               {"--T", true},
+    {"--m0", true},              {"--max-depth", true},
+    {"--salvage", false},        {"--simd", true},
+    {"--print-simd", false},
 };
 
 /// The first argument that is neither an option in kOptions nor the value
@@ -183,8 +188,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --archive-fsync '%s'\n", fsync);
     return 2;
   }
-  dc.recovery_threads = static_cast<unsigned>(
-      arg_double(argc, argv, "--recovery-threads", 0));
 
   dc.query_socket = arg_str(argc, argv, "--query-sock", "");
   dc.metrics_socket = arg_str(argc, argv, "--metrics-sock", "");
