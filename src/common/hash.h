@@ -49,11 +49,16 @@ std::uint64_t ecmp_signature(const FlowId& f);
 /// trace files (not for sketch indexing, where mix64 is preferred).
 std::uint64_t fnv1a(const void* data, std::size_t len);
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over a byte range. Used
-/// as the integrity trailer on control-plane query messages: unlike FNV it
-/// detects all single-bit and all single-byte errors, which is the fault
-/// class the lossy-channel injector exercises. `seed` allows incremental
-/// computation (pass a previous result to continue).
+/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over a byte range: the
+/// integrity trailer of every feed record frame (wire/trace_io), every
+/// archive segment header, block and footer (store/archive_format.h), which
+/// each recovery scan re-verifies, and every control-plane query message.
+/// Unlike FNV it detects all single-bit and all single-byte errors, which
+/// is the fault class the lossy-channel injector exercises. `seed` allows
+/// incremental computation (pass a previous result to continue). A portable
+/// slice-by-16 table kernel (16 and 8 bytes per step, then a byte tail)
+/// with one code path on every host; tests/common/hash_test.cpp keeps the
+/// bytewise one-table loop as its oracle.
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 
 /// A family of pairwise-distinct hash functions over flow IDs, as required by

@@ -19,6 +19,12 @@ constexpr std::size_t kMinEntryBytes = 1;     // validity flags
 constexpr std::size_t kMinSnapshotBytes = 8 + 8 + 4;  // taken_at, epoch, count
 constexpr std::size_t kMinPortListBytes = 4;  // per-port snapshot count
 
+// Exact encoded sizes of the fixed-width fields the *_bytes functions count.
+constexpr std::size_t kFlowBytes = 13;               // wire::put_flow
+constexpr std::size_t kStampedFlowBytes = kFlowBytes + 8;  // + cycle_id/seq
+constexpr std::size_t kSnapshotHeaderBytes = 8 + 8;  // taken_at, epoch
+constexpr std::size_t kLayoutBytes = 5 * 4 + 1 + 4;  // put_register_layout
+
 /// Rejects a count field that promises more elements than the remaining
 /// stream could encode even at minimal size — the oversized-record guard.
 std::uint32_t checked_count(wire::ByteReader& r, std::size_t min_elem_bytes,
@@ -66,6 +72,16 @@ void put_window_state(std::vector<std::uint8_t>& buf,
   }
 }
 
+std::size_t window_state_bytes(const core::WindowState& state) {
+  std::size_t n = 4;
+  for (const auto& window : state) {
+    std::size_t occupied = 0;
+    for (const auto& cell : window) occupied += cell.occupied ? 1 : 0;
+    n += 4 + window.size() + occupied * kStampedFlowBytes;
+  }
+  return n;
+}
+
 core::WindowState get_window_state(wire::ByteReader& r) {
   core::WindowState state(checked_count(r, kMinWindowBytes, "window"));
   for (auto& window : state) {
@@ -101,6 +117,14 @@ void put_monitor_state(std::vector<std::uint8_t>& buf,
       wire::put_u64(buf, e.dec.seq);
     }
   }
+}
+
+std::size_t monitor_state_bytes(const core::MonitorState& state) {
+  std::size_t valid = 0;
+  for (const auto& e : state.entries) {
+    valid += (e.inc.valid ? 1 : 0) + (e.dec.valid ? 1 : 0);
+  }
+  return 4 + 4 + state.entries.size() + valid * kStampedFlowBytes;
 }
 
 core::MonitorState get_monitor_state(wire::ByteReader& r) {
@@ -156,6 +180,14 @@ void put_monitor_snapshot(std::vector<std::uint8_t>& buf,
   put_monitor_state(buf, snap.state);
 }
 
+std::size_t window_snapshot_bytes(const WindowSnapshot& snap) {
+  return kSnapshotHeaderBytes + window_state_bytes(snap.state);
+}
+
+std::size_t monitor_snapshot_bytes(const MonitorSnapshot& snap) {
+  return kSnapshotHeaderBytes + monitor_state_bytes(snap.state);
+}
+
 WindowSnapshot get_window_snapshot(wire::ByteReader& r) {
   WindowSnapshot snap;
   snap.taken_at = r.u64();
@@ -205,6 +237,10 @@ void put_calibration(std::vector<std::uint8_t>& buf,
   wire::put_f64(buf, cal.z0);
 }
 
+std::size_t calibration_bytes(const CalibrationRecord&) {
+  return 8 + kLayoutBytes + 8;
+}
+
 bool get_calibration(wire::ByteReader& r, CalibrationRecord& cal) {
   cal.taken_at = r.u64();
   const bool layout_ok =
@@ -230,6 +266,12 @@ void put_dq_capture(std::vector<std::uint8_t>& buf, const DqCapture& cap) {
   wire::put_u64(buf, n.deq_timestamp);
   wire::put_u64(buf, 0);
   put_monitor_state(buf, cap.monitor);
+}
+
+std::size_t dq_capture_bytes(const DqCapture& cap) {
+  return 4 + kFlowBytes + 8 + 8 + 4 + 4 + 4 + kSnapshotHeaderBytes +
+         window_state_bytes(cap.windows) + kSnapshotHeaderBytes +
+         monitor_state_bytes(cap.monitor);
 }
 
 DqCapture get_dq_capture(wire::ByteReader& r) {

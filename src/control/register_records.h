@@ -60,11 +60,17 @@ class RecordsError : public std::runtime_error {
 // kTruncated / kBadFlags) on malformed input — never allocate from an
 // unvalidated length, never return silent garbage — so every snapshot they
 // accept re-encodes to exactly the bytes it was read from.
+//
+// Each *_bytes function returns exactly how many bytes its put_* appends,
+// without writing them: the archive writer counts a record's logical size
+// this way and serializes only the records it stores raw.
 
 void put_window_snapshot(std::vector<std::uint8_t>& buf,
                          const WindowSnapshot& snap);
 void put_monitor_snapshot(std::vector<std::uint8_t>& buf,
                           const MonitorSnapshot& snap);
+std::size_t window_snapshot_bytes(const WindowSnapshot& snap);
+std::size_t monitor_snapshot_bytes(const MonitorSnapshot& snap);
 WindowSnapshot get_window_snapshot(wire::ByteReader& r);
 MonitorSnapshot get_monitor_snapshot(wire::ByteReader& r);
 
@@ -82,11 +88,13 @@ bool get_register_layout(wire::ByteReader& r, core::TimeWindowParams& params,
 /// false on a short payload or a layout get_register_layout refuses.
 void put_calibration(std::vector<std::uint8_t>& buf,
                      const CalibrationRecord& cal);
+std::size_t calibration_bytes(const CalibrationRecord& cal);
 bool get_calibration(wire::ByteReader& r, CalibrationRecord& cal);
 
 /// A data-plane-query capture: the notification, then both frozen banks in
 /// snapshot form (taken_at = the capture's dequeue time, epoch 0).
 void put_dq_capture(std::vector<std::uint8_t>& buf, const DqCapture& cap);
+std::size_t dq_capture_bytes(const DqCapture& cap);
 DqCapture get_dq_capture(wire::ByteReader& r);
 
 /// Everything needed to answer queries offline: the layout parameters and

@@ -317,47 +317,38 @@ ArchiveWriter::~ArchiveWriter() {
 
 void ArchiveWriter::on_window_snapshot(std::uint32_t port,
                                        const control::WindowSnapshot& snap) {
-  std::vector<std::uint8_t> logical;
-  control::put_window_snapshot(logical, snap);
   const std::uint64_t t_lo =
       snap.taken_at > static_cast<Timestamp>(t_set_)
           ? snap.taken_at - static_cast<Timestamp>(t_set_)
           : 0;
   append(BlockKind::kWindowSnapshot, port, t_lo, snap.taken_at, snap,
-         logical);
+         control::window_snapshot_bytes(snap));
 }
 
 void ArchiveWriter::on_monitor_snapshot(std::uint32_t partition,
                                         const control::MonitorSnapshot& snap) {
-  std::vector<std::uint8_t> logical;
-  control::put_monitor_snapshot(logical, snap);
   append(BlockKind::kMonitorSnapshot, partition, snap.taken_at,
-         snap.taken_at, snap, logical);
+         snap.taken_at, snap, control::monitor_snapshot_bytes(snap));
 }
 
 void ArchiveWriter::on_dq_capture(std::uint32_t port,
                                   const control::DqCapture& cap) {
-  std::vector<std::uint8_t> logical;
-  control::put_dq_capture(logical, cap);
   append(BlockKind::kDqCapture, port, cap.notification.enq_timestamp,
-         cap.notification.deq_timestamp, cap, logical);
+         cap.notification.deq_timestamp, cap, control::dq_capture_bytes(cap));
 }
 
 void ArchiveWriter::on_calibration(const control::CalibrationRecord& cal) {
-  std::vector<std::uint8_t> logical;
-  control::put_calibration(logical, cal);
   append(BlockKind::kCalibration, 0, cal.taken_at, cal.taken_at, cal,
-         logical);
+         control::calibration_bytes(cal));
 }
 
 template <class Record>
 void ArchiveWriter::append(BlockKind kind, std::uint32_t partition,
                            std::uint64_t t_lo, std::uint64_t t_hi,
-                           const Record& rec,
-                           std::span<const std::uint8_t> logical) {
+                           const Record& rec, std::size_t logical_size) {
   if (dead_ || closed_) return;
   std::vector<std::uint8_t> payload;
-  bool is_delta = codec_.encode(partition, rec, logical, payload);
+  bool is_delta = codec_.encode(partition, rec, logical_size, payload);
   std::vector<std::uint8_t> frame =
       encode_block(kind, partition, t_lo, t_hi, payload);
   // A segment rolls when this frame would push it past capacity (a lone
@@ -370,7 +361,7 @@ void ArchiveWriter::append(BlockKind kind, std::uint32_t partition,
     close_segment();
     open_segment();
     if (is_delta) {
-      is_delta = codec_.encode(partition, rec, logical, payload);
+      is_delta = codec_.encode(partition, rec, logical_size, payload);
       frame = encode_block(kind, partition, t_lo, t_hi, payload);
     }
   }
@@ -400,7 +391,7 @@ void ArchiveWriter::append(BlockKind kind, std::uint32_t partition,
   segment_block_bytes_ += frame.size();
   ++stats_.blocks_appended;
   stats_.bytes_appended += frame.size();
-  stats_.logical_bytes += kBlockOverheadBytes + logical.size();
+  stats_.logical_bytes += kBlockOverheadBytes + logical_size;
   if (is_delta) {
     ++stats_.blocks_delta;
   } else {

@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "control/telemetry_sink.h"
@@ -99,13 +98,14 @@ class ArchiveWriter final : public control::TelemetrySink {
   const WriterStats& stats() const { return stats_; }
 
  private:
-  /// Frames `rec` (whose register_records encoding is `logical`) and
-  /// appends it, rolling the segment first when the frame would push it
-  /// past capacity.
+  /// Encodes `rec` through the codec, frames it and appends it, rolling
+  /// the segment first when the frame would push it past capacity.
+  /// `logical_size` is the length of its register_records encoding, which
+  /// the codec weighs a delta against and the stats count; only a raw
+  /// payload serializes it.
   template <class Record>
   void append(BlockKind kind, std::uint32_t partition, std::uint64_t t_lo,
-              std::uint64_t t_hi, const Record& rec,
-              std::span<const std::uint8_t> logical);
+              std::uint64_t t_hi, const Record& rec, std::size_t logical_size);
   void open_segment();
   /// Writes the footer and closes the file. Throws if the footer may not
   /// have reached it (fail_segment).

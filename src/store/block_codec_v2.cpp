@@ -299,6 +299,10 @@ void put_record(std::vector<std::uint8_t>& buf,
                 const control::CalibrationRecord& rec) {
   control::put_calibration(buf, rec);
 }
+void put_record(std::vector<std::uint8_t>& buf,
+                const control::DqCapture& rec) {
+  control::put_dq_capture(buf, rec);
+}
 
 void get_record(wire::ByteReader& r, control::WindowSnapshot& rec) {
   rec = control::get_window_snapshot(r);
@@ -322,14 +326,6 @@ bool parse(std::span<const std::uint8_t> bytes, Record& rec) {
     return false;
   }
   return r.ok() && r.remaining() == 0;
-}
-
-void put_raw(std::span<const std::uint8_t> logical,
-             std::vector<std::uint8_t>& out) {
-  out.clear();
-  out.reserve(logical.size() + 1);
-  out.push_back(kEncodingRaw);
-  out.insert(out.end(), logical.begin(), logical.end());
 }
 
 template <class Record>
@@ -357,21 +353,24 @@ BlockDecodeStatus decode_record(std::map<std::uint32_t, Record>& bases,
 
 template <class Record>
 bool SegmentPayloadCodec::encode(std::uint32_t partition, const Record& rec,
-                                 std::span<const std::uint8_t> logical,
+                                 std::size_t logical_size,
                                  std::vector<std::uint8_t>& out) const {
+  out.clear();
   if constexpr (!std::is_same_v<Record, control::DqCapture>) {
     const auto& bases = std::get<Bases<Record>>(bases_);
     const auto base = bases.find(partition);
     if (base != bases.end()) {
-      out.clear();
       out.push_back(kEncodingDelta);
       if (encode_delta(base->second, rec, out) &&
-          out.size() - 1 < logical.size()) {
+          out.size() - 1 < logical_size) {
         return true;
       }
+      out.clear();
     }
   }
-  put_raw(logical, out);
+  out.reserve(logical_size + 1);
+  out.push_back(kEncodingRaw);
+  put_record(out, rec);
   return false;
 }
 
@@ -383,16 +382,16 @@ void SegmentPayloadCodec::advance(std::uint32_t partition, const Record& rec) {
 }
 
 template bool SegmentPayloadCodec::encode(
-    std::uint32_t, const control::WindowSnapshot&,
-    std::span<const std::uint8_t>, std::vector<std::uint8_t>&) const;
+    std::uint32_t, const control::WindowSnapshot&, std::size_t,
+    std::vector<std::uint8_t>&) const;
 template bool SegmentPayloadCodec::encode(
-    std::uint32_t, const control::MonitorSnapshot&,
-    std::span<const std::uint8_t>, std::vector<std::uint8_t>&) const;
+    std::uint32_t, const control::MonitorSnapshot&, std::size_t,
+    std::vector<std::uint8_t>&) const;
 template bool SegmentPayloadCodec::encode(
-    std::uint32_t, const control::CalibrationRecord&,
-    std::span<const std::uint8_t>, std::vector<std::uint8_t>&) const;
+    std::uint32_t, const control::CalibrationRecord&, std::size_t,
+    std::vector<std::uint8_t>&) const;
 template bool SegmentPayloadCodec::encode(
-    std::uint32_t, const control::DqCapture&, std::span<const std::uint8_t>,
+    std::uint32_t, const control::DqCapture&, std::size_t,
     std::vector<std::uint8_t>&) const;
 template void SegmentPayloadCodec::advance(std::uint32_t,
                                            const control::WindowSnapshot&);

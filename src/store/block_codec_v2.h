@@ -18,9 +18,11 @@
 //
 // The codec works on the records themselves (control/snapshots.h,
 // control/telemetry_sink.h), never on their bytes: the encoder diffs the
-// record the writer holds against the previous one, and the decoder applies
-// a delta in place to the previous decoded record and serializes the result
-// with control/register_records' put_*. A raw payload is parsed with its
+// record the writer holds against the previous one, weighs the delta
+// against the record's logical size (control/register_records' *_bytes)
+// and serializes the record with its put_* only when it stores it raw; the
+// decoder applies a delta in place to the previous decoded record and
+// serializes the result with the same put_*. A raw payload is parsed with its
 // get_*, completely and strictly, so control/register_records stays the one
 // reader and writer of the record layout.
 //
@@ -41,6 +43,7 @@
 // (segment_chain.h) decodes through it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -67,13 +70,14 @@ class SegmentPayloadCodec {
  public:
   /// Sets `out` to the v2 payload of `rec`, a WindowSnapshot,
   /// MonitorSnapshot, CalibrationRecord or DqCapture whose logical payload
-  /// (its control/register_records encoding) is `logical`, and returns true
-  /// if it is a delta. Leaves the bases alone: the caller commits the record
-  /// with advance() once it knows the block is written in this segment.
+  /// (its control/register_records encoding) is `logical_size` bytes long,
+  /// and returns true if it is a delta. Only a raw payload serializes the
+  /// record, straight into `out`. Leaves the bases alone: the caller
+  /// commits the record with advance() once it knows the block is written
+  /// in this segment.
   template <class Record>
   bool encode(std::uint32_t partition, const Record& rec,
-              std::span<const std::uint8_t> logical,
-              std::vector<std::uint8_t>& out) const;
+              std::size_t logical_size, std::vector<std::uint8_t>& out) const;
 
   /// Makes `rec` the base of its kind and partition for the next block.
   template <class Record>

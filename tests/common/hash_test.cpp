@@ -5,8 +5,11 @@
 #include <array>
 #include <bit>
 #include <set>
+#include <string>
 #include <unordered_set>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace pq {
 namespace {
@@ -45,6 +48,78 @@ TEST(Fnv1a, SensitiveToEveryByte) {
   const char a[] = {1, 2, 3, 4};
   const char b[] = {1, 2, 3, 5};
   EXPECT_NE(fnv1a(a, 4), fnv1a(b, 4));
+}
+
+// The oracle for crc32: the one-table, byte-at-a-time CRC-32 (reflected
+// IEEE polynomial 0xEDB88320), with its table built bit by bit.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t len,
+                             std::uint32_t seed = 0) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Crc32, MatchesTheIeeeCheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+  EXPECT_EQ(crc32("", 0, 0xDEADBEEFu), 0xDEADBEEFu);
+}
+
+TEST(Crc32, MatchesTheBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Every length across several 16- and 8-byte steps plus every byte tail,
+  // from every start offset within a 16-byte stride.
+  const auto buf = random_bytes(1100 + 16, 1);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                crc32_bytewise(buf.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesTheBytewiseReferenceOnAMebibyte) {
+  const auto buf = random_bytes(std::size_t{1} << 20, 2);
+  EXPECT_EQ(crc32(buf.data(), buf.size()),
+            crc32_bytewise(buf.data(), buf.size()));
+}
+
+TEST(Crc32, RandomBuffersAndSeedsMatchAndChain) {
+  Rng rng(3);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t m = rng.uniform_below(300);
+    const std::size_t n = rng.uniform_below(3000);
+    const auto ab = random_bytes(m + n, rng());
+    const auto seed = static_cast<std::uint32_t>(rng());
+    EXPECT_EQ(crc32(ab.data(), ab.size(), seed),
+              crc32_bytewise(ab.data(), ab.size(), seed));
+    // Continuing from a previous result equals one call over a‖b.
+    EXPECT_EQ(crc32(ab.data() + m, n, crc32(ab.data(), m)),
+              crc32(ab.data(), ab.size()));
+    EXPECT_EQ(crc32(ab.data(), ab.size()),
+              crc32_bytewise(ab.data(), ab.size()));
+  }
 }
 
 TEST(FlowSignature, DistinctFlowsGetDistinctSignatures) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/rng.h"
 #include "sim/egress_port.h"
 #include "traffic/trace_gen.h"
 #include "wire/bytes.h"
@@ -347,6 +348,134 @@ TEST(RegisterRecords, DqCapturePayloadBytesArePinned) {
   EXPECT_EQ(back.windows[0][1].cycle_id, cap.windows[0][1].cycle_id);
   EXPECT_EQ(back.monitor.top, cap.monitor.top);
   EXPECT_EQ(back.monitor.entries[2].dec.seq, 23u);
+}
+
+// --- Logical sizes --------------------------------------------------------
+// Each *_bytes function must return exactly the byte count its put_*
+// appends: the archive writer counts logical bytes with them and weighs
+// every delta against them, without serializing the record.
+
+FlowId random_flow(Rng& rng) {
+  return {static_cast<std::uint32_t>(rng()), static_cast<std::uint32_t>(rng()),
+          static_cast<std::uint16_t>(rng()), static_cast<std::uint16_t>(rng()),
+          static_cast<std::uint8_t>(rng())};
+}
+
+/// A window state whose cells are occupied with probability `fill`. Every
+/// cell holds a flow and cycle id, so an empty one still carries a stale
+/// flow, as the data plane leaves it.
+core::WindowState random_window_state(Rng& rng, double fill) {
+  core::WindowState state(rng.uniform_below(5));
+  for (auto& window : state) {
+    window.resize(rng.uniform_below(40));
+    for (auto& cell : window) {
+      cell.flow = random_flow(rng);
+      cell.cycle_id = rng();
+      cell.occupied = rng.uniform() < fill;
+    }
+  }
+  return state;
+}
+
+/// A monitor state whose halves are valid with probability `valid`; an
+/// invalid half keeps its stale flow and seq.
+core::MonitorState random_monitor_state(Rng& rng, double valid) {
+  core::MonitorState state;
+  state.top = static_cast<std::uint32_t>(rng());
+  state.entries.resize(rng.uniform_below(40));
+  for (auto& e : state.entries) {
+    for (core::MonitorHalf* half : {&e.inc, &e.dec}) {
+      half->flow = random_flow(rng);
+      half->seq = rng();
+      half->valid = rng.uniform() < valid;
+    }
+  }
+  return state;
+}
+
+template <class Record, class Put>
+std::size_t put_size(Put put, const Record& rec) {
+  std::vector<std::uint8_t> buf;
+  put(buf, rec);
+  return buf.size();
+}
+
+TEST(RecordSizes, WindowSnapshotBytesCountWhatPutWrites) {
+  Rng rng(11);
+  for (const double fill : {0.0, 1.0, 0.5, 0.1, 0.9}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      WindowSnapshot snap;
+      snap.taken_at = rng();
+      snap.epoch = rng();
+      snap.state = random_window_state(rng, fill);
+      ASSERT_EQ(window_snapshot_bytes(snap),
+                put_size(put_window_snapshot, snap))
+          << "fill " << fill << ", trial " << trial;
+    }
+  }
+  // No windows at all, and windows without cells.
+  WindowSnapshot empty;
+  EXPECT_EQ(window_snapshot_bytes(empty), put_size(put_window_snapshot, empty));
+  empty.state.resize(3);
+  EXPECT_EQ(window_snapshot_bytes(empty), put_size(put_window_snapshot, empty));
+}
+
+TEST(RecordSizes, MonitorSnapshotBytesCountWhatPutWrites) {
+  // Every mix of valid and invalid halves, with stale flows behind the
+  // invalid ones.
+  MonitorSnapshot mix;
+  mix.state.top = 3;
+  mix.state.entries.resize(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    auto& e = mix.state.entries[i];
+    e.inc = {{1, 2, 3, 4, 6}, 5, (i & 1) != 0};
+    e.dec = {{7, 8, 9, 10, 17}, 11, (i & 2) != 0};
+  }
+  EXPECT_EQ(monitor_snapshot_bytes(mix), put_size(put_monitor_snapshot, mix));
+
+  Rng rng(12);
+  for (const double valid : {0.0, 1.0, 0.5, 0.2}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      MonitorSnapshot snap;
+      snap.taken_at = rng();
+      snap.epoch = rng();
+      snap.state = random_monitor_state(rng, valid);
+      ASSERT_EQ(monitor_snapshot_bytes(snap),
+                put_size(put_monitor_snapshot, snap))
+          << "valid " << valid << ", trial " << trial;
+    }
+  }
+}
+
+TEST(RecordSizes, DqCaptureBytesCountWhatPutWrites) {
+  const DqCapture hand = hand_built_capture();
+  EXPECT_EQ(dq_capture_bytes(hand), put_size(put_dq_capture, hand));
+  const DqCapture empty;
+  EXPECT_EQ(dq_capture_bytes(empty), put_size(put_dq_capture, empty));
+
+  Rng rng(13);
+  for (int trial = 0; trial < 100; ++trial) {
+    DqCapture cap;
+    cap.notification.victim_flow = random_flow(rng);
+    cap.notification.deq_timestamp = rng();
+    cap.windows = random_window_state(rng, rng.uniform());
+    cap.monitor = random_monitor_state(rng, rng.uniform());
+    ASSERT_EQ(dq_capture_bytes(cap), put_size(put_dq_capture, cap))
+        << "trial " << trial;
+  }
+}
+
+TEST(RecordSizes, CalibrationBytesCountWhatPutWrites) {
+  CalibrationRecord cal;
+  EXPECT_EQ(calibration_bytes(cal), put_size(put_calibration, cal));
+  cal.taken_at = 5000;
+  cal.monitor_levels = 9;
+  cal.z0 = 0.25;
+  cal.window_params.wrap32 = true;
+  EXPECT_EQ(calibration_bytes(cal), put_size(put_calibration, cal));
+  cal.window_params.num_windows = 0;  // a layout core::TtsLayout refuses
+  ASSERT_NE(cal.window_params.range_error(), nullptr);
+  EXPECT_EQ(calibration_bytes(cal), put_size(put_calibration, cal));
 }
 
 TEST(RegisterRecordsErrors, FileIoErrorsAreTyped) {

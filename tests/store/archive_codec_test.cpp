@@ -256,6 +256,13 @@ TEST(ArchiveCodec, RandomRecordStreamsReadBackAsTheirRecordBytes) {
       EXPECT_EQ(r.stats().decode_errors, 0u);
       const auto& blocks = r.recovered().at(0)->blocks;
       ASSERT_EQ(blocks.size(), feed.expected.size());
+      // The writer counts each block's logical size without serializing
+      // it; the count must equal the v1 frames of the bytes read back.
+      std::uint64_t logical_bytes = 0;
+      for (const auto& e : feed.expected) {
+        logical_bytes += store::kBlockOverheadBytes + e.payload.size();
+      }
+      EXPECT_EQ(ws.logical_bytes, logical_bytes);
       for (std::size_t i = 0; i < blocks.size(); ++i) {
         EXPECT_EQ(blocks[i].kind, feed.expected[i].kind) << "block " << i;
         EXPECT_EQ(blocks[i].partition, feed.expected[i].partition)
