@@ -52,8 +52,14 @@ enum class OverloadPolicy : std::uint8_t {
 };
 
 struct SupervisorOptions {
-  std::size_t batch = 256;           ///< max records per absorb chunk
-  std::size_t queue_capacity = 8192; ///< per-shard ingest queue cap
+  std::size_t batch = 256;  ///< max records per absorb chunk
+  /// Per-shard ingest queue cap, in records (56 bytes each). The queue is
+  /// the only slack between the one feed pump and the shard workers, so
+  /// it is sized in time: at ~4 M records/s per shard it holds ~8 ms of
+  /// feed, more than the few ms a busy host can take to wake a sleeping
+  /// worker or pump. A ~2 ms queue lets such a late wake-up fill one
+  /// queue, block the pump and starve the other shards.
+  std::size_t queue_capacity = 32768;
   OverloadPolicy overload = OverloadPolicy::kBackpressure;
   std::chrono::milliseconds pop_wait{20};
   /// Best-effort round-robin CPU pinning of the shard workers

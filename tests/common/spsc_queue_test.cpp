@@ -44,6 +44,78 @@ TEST(SpscQueue, CapacityIsAHardBound) {
   EXPECT_EQ(q.peak_depth(), 4u);
 }
 
+// A power-of-two capacity fills every slot of the ring: many laps of
+// fill-to-full then drain must keep the bound exact and the order FIFO.
+TEST(SpscQueue, FullLapsOfAnExactPowerOfTwoRing) {
+  SpscQueue<int> q(4);
+  int next_in = 0;
+  int next_out = 0;
+  for (int lap = 0; lap < 1000; ++lap) {
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.try_push(int{next_in++}));
+    ASSERT_FALSE(q.try_push(-1));
+    ASSERT_EQ(q.size(), 4u);
+    // Half a drain, a refill of the freed slots, then the rest.
+    int v = -1;
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(q.try_pop(v));
+      ASSERT_EQ(v, next_out++);
+    }
+    for (int i = 0; i < 2; ++i) ASSERT_TRUE(q.try_push(int{next_in++}));
+    ASSERT_FALSE(q.try_push(-1));
+    while (q.try_pop(v)) ASSERT_EQ(v, next_out++);
+    ASSERT_TRUE(q.empty());
+  }
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(q.peak_depth(), 4u);
+}
+
+// Slots are raw storage: every element a push builds is destroyed once,
+// by its pop or by the queue's destructor.
+TEST(SpscQueue, DestroysEveryElementItBuilt) {
+  struct Counted {
+    explicit Counted(int* live) : live_(live) { ++*live_; }
+    Counted(Counted&& o) noexcept : live_(o.live_) { ++*live_; }
+    Counted& operator=(Counted&& o) noexcept {
+      live_ = o.live_;
+      return *this;
+    }
+    ~Counted() { --*live_; }
+    int* live_;
+  };
+  int live = 0;
+  {
+    SpscQueue<Counted> q(4);
+    for (int lap = 0; lap < 3; ++lap) {
+      for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.try_push(Counted(&live)));
+      EXPECT_EQ(live, 4);
+      Counted out(&live);
+      for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.try_pop(out));
+      EXPECT_EQ(live, 1);  // only `out`
+    }
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(Counted(&live)));
+    EXPECT_EQ(live, 3);
+  }
+  EXPECT_EQ(live, 0);  // the destructor destroyed the three left in it
+}
+
+// The producer works from a stale copy of the tail; the peak it reports
+// must still be a depth the ring really held, not that copy's bound.
+TEST(SpscQueue, PeakIsTheDeepestDepthHeld) {
+  SpscQueue<int> q(64);
+  int v = -1;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(int{i}));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_pop(v));
+  EXPECT_EQ(q.peak_depth(), 3u);
+  for (int i = 0; i < 500; ++i) {  // depth never above 1
+    ASSERT_TRUE(q.try_push(int{i}));
+    ASSERT_TRUE(q.try_pop(v));
+    ASSERT_EQ(v, i);
+  }
+  EXPECT_EQ(q.peak_depth(), 3u);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(int{i}));
+  EXPECT_EQ(q.peak_depth(), 5u);
+}
+
 TEST(SpscQueue, CloseLetsConsumerDrain) {
   SpscQueue<int> q(8);
   EXPECT_TRUE(q.try_push(1));

@@ -163,8 +163,9 @@ int main(int argc, char** argv) {
   dc.follow = !arg_flag(argc, argv, "--exit-at-eof");
   dc.supervisor.batch = static_cast<std::size_t>(
       arg_double(argc, argv, "--batch", 256));
-  dc.supervisor.queue_capacity = static_cast<std::size_t>(
-      arg_double(argc, argv, "--queue-cap", 8192));
+  dc.supervisor.queue_capacity = static_cast<std::size_t>(arg_double(
+      argc, argv, "--queue-cap",
+      static_cast<double>(serve::SupervisorOptions{}.queue_capacity)));
   dc.supervisor.pin_threads = arg_flag(argc, argv, "--pin-threads");
   const char* overload = arg_str(argc, argv, "--overload", "backpressure");
   if (std::strcmp(overload, "shed") == 0) {
